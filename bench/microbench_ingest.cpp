@@ -7,7 +7,9 @@
 //
 // The acceptance bar for the pipeline is >= 2x parallel speedup on >= 4
 // cores with serial and parallel loads producing identical Trace contents;
-// the identity check runs unconditionally.
+// the identity check runs unconditionally. Every eighth job name needs CSV
+// quoting and every third row ends in CRLF, so both the allocation-free
+// row split and its quoted fallback are timed and gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,6 +39,7 @@ trace::Trace make_synthetic(std::size_t rows, std::uint64_t seed) {
     vc = "vc" + std::to_string(rng.uniform_int(0, 29));
     name = "job_" + std::to_string(rng.uniform_int(0, 4999)) + "_v" +
            std::to_string(rng.uniform_int(0, 7));
+    if (i % 8 == 0) name += i % 16 == 0 ? ",lr=0.1" : " \"ft\"";
     auto& j = t.add(static_cast<UnixTime>(1'585'699'200 + i / 2),
                     static_cast<std::int32_t>(rng.uniform_int(1, 86'400)),
                     static_cast<std::int32_t>(rng.uniform_int(0, 8)),
@@ -45,6 +48,18 @@ trace::Trace make_synthetic(std::size_t rows, std::uint64_t seed) {
     j.start_time = j.submit_time + rng.uniform_int(0, 3'600);
   }
   return t;
+}
+
+/// CRLF-terminates every third line.
+std::string with_some_crlf(const std::string& lf) {
+  std::string out;
+  out.reserve(lf.size() + lf.size() / 64);
+  std::size_t line = 0;
+  for (const char c : lf) {
+    if (c == '\n' && line++ % 3 == 0) out += '\r';
+    out += c;
+  }
+  return out;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -70,7 +85,7 @@ int main() {
   const trace::Trace original = make_synthetic(rows, 42);
   std::ostringstream os;
   original.save_csv(os);
-  const std::string csv = std::move(os).str();
+  const std::string csv = with_some_crlf(std::move(os).str());
   std::printf("csv size: %.1f MB\n", static_cast<double>(csv.size()) / 1e6);
 
   trace::ClusterSpec spec;

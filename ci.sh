@@ -145,9 +145,14 @@ if [ "$mode" = bench ]; then
     exit 1
   fi
   # Small row count: smoke-check the ingestion pipeline, not a full run.
-  HELIOS_INGEST_ROWS="${HELIOS_INGEST_ROWS:-100000}" \
-  HELIOS_INGEST_REPS="${HELIOS_INGEST_REPS:-1}" \
-    build/microbench_ingest
+  # Once per ParallelLoader path — one thread takes the serial loop, four the
+  # chunked fan-out — and both face the serial-vs-parallel identity gate.
+  for threads in 1 4; do
+    HELIOS_THREADS=$threads \
+    HELIOS_INGEST_ROWS="${HELIOS_INGEST_ROWS:-100000}" \
+    HELIOS_INGEST_REPS="${HELIOS_INGEST_REPS:-1}" \
+      build/microbench_ingest
+  done
   # Streaming-service replay: parity-gated, and the source of BENCH_svc.json
   # (snapshot-query p50/p99 latency + ingest throughput).
   HELIOS_SERVE_SCALE="${HELIOS_SERVE_SCALE:-0.05}" \

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/civil_time.h"
-#include "common/thread_pool.h"
+#include "sim/bucket_integrator.h"
 
 namespace helios::analysis {
 
@@ -15,67 +15,52 @@ using trace::Trace;
 
 namespace {
 
-/// Accumulate busy GPU-seconds for jobs [lo, hi) into `busy`.
-void accumulate_busy(const std::vector<JobRecord>& jobs, std::size_t lo,
-                     std::size_t hi, UnixTime begin, UnixTime end,
-                     std::int64_t step, const JobPredicate& pred,
-                     std::vector<double>& busy) {
-  const std::size_t n_buckets = busy.size();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const JobRecord& j = jobs[i];
-    if (!j.started() || j.num_gpus <= 0) continue;
-    if (pred && !pred(j)) continue;
-    const UnixTime s = std::max<std::int64_t>(j.start_time, begin);
-    const UnixTime e = std::min<std::int64_t>(j.end_time(), end);
-    if (e <= s) continue;
-    auto b = static_cast<std::size_t>((s - begin) / step);
-    const auto b_end = static_cast<std::size_t>((e - 1 - begin) / step);
-    for (; b <= b_end && b < n_buckets; ++b) {
-      const UnixTime bucket_lo = begin + static_cast<UnixTime>(b) * step;
-      const UnixTime bucket_hi = bucket_lo + step;
-      const double overlap = static_cast<double>(std::min(e, bucket_hi) -
-                                                 std::max(s, bucket_lo));
-      busy[b] += overlap * j.num_gpus;
-    }
-  }
+/// Adds job `j`'s busy interval, clipped to end at `end`, to `acc` (which
+/// clips the start). CPU jobs and jobs that never started add nothing.
+void add_busy(sim::BucketIntegrator& acc, const JobRecord& j, UnixTime end) {
+  if (!j.started() || j.num_gpus <= 0) return;
+  acc.add(j.start_time, std::min<UnixTime>(j.end_time(), end),
+          static_cast<double>(j.num_gpus));
 }
 
-/// Below this job count the fan-out overhead beats the win; it also keeps the
-/// small traces used by the unit tests on the exact serial summation order.
-constexpr std::size_t kParallelJobThreshold = 1 << 16;
+/// `busy` divided by `capacity` (when positive), sorted ascending. Busy
+/// GPU-seconds are exact non-negative integers with at most step x VC GPUs
+/// distinct values on a feasible schedule, so a counting sort over them
+/// replaces the comparison sort; positive division preserves order, so the
+/// result equals sorting the divided samples bit for bit. Key ranges much
+/// wider than the sample count (over-committed schedules) sort instead.
+std::vector<double> sorted_utilization(std::vector<double> busy,
+                                       double capacity) {
+  const auto scale = [capacity](double v) {
+    return capacity > 0.0 ? v / capacity : v;
+  };
+  const double max_busy =
+      busy.empty() ? 0.0 : *std::max_element(busy.begin(), busy.end());
+  if (max_busy > 4.0 * static_cast<double>(busy.size()) + 65536.0) {
+    for (double& v : busy) v = scale(v);
+    std::sort(busy.begin(), busy.end());
+    return busy;
+  }
+  std::vector<std::uint32_t> count(static_cast<std::size_t>(max_busy) + 1, 0);
+  for (const double v : busy) ++count[static_cast<std::size_t>(v)];
+  auto out = busy.begin();
+  for (std::size_t key = 0; key < count.size(); ++key) {
+    out = std::fill_n(out, count[key], scale(static_cast<double>(key)));
+  }
+  return busy;
+}
 
 }  // namespace
 
 std::vector<double> busy_gpu_seconds(const Trace& t, UnixTime begin, UnixTime end,
                                      std::int64_t step, const JobPredicate& pred) {
-  const auto n_buckets =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, (end - begin + step - 1) / step));
-  std::vector<double> busy(n_buckets, 0.0);
-  if (n_buckets == 0) return busy;
-  const auto& jobs = t.jobs();
-  if (jobs.size() < kParallelJobThreshold) {
-    accumulate_busy(jobs, 0, jobs.size(), begin, end, step, pred, busy);
-    return busy;
+  if (end <= begin) return {};
+  sim::BucketIntegrator acc(begin, end, step);
+  for (const JobRecord& j : t.jobs()) {
+    if (pred && !pred(j)) continue;
+    add_busy(acc, j, end);
   }
-  // Chunk boundaries derive from fixed constants alone (never the machine's
-  // thread count) and partials merge in chunk order, so the floating-point
-  // summation order — and therefore every downstream figure — is identical
-  // on any machine, including single-core ones; extra chunks beyond the
-  // pool size just queue. The chunk cap bounds the transient partial
-  // buffers to kMaxChunks x n_buckets doubles.
-  constexpr std::size_t kMaxChunks = 64;
-  const auto chunks =
-      chunk_ranges(0, jobs.size(), kMaxChunks, kParallelJobThreshold);
-  std::vector<std::vector<double>> partial(chunks.size(),
-                                           std::vector<double>(n_buckets, 0.0));
-  parallel_run_chunks(chunks, [&](std::size_t c, std::size_t lo,
-                                  std::size_t hi) {
-    accumulate_busy(jobs, lo, hi, begin, end, step, pred, partial[c]);
-  });
-  for (const auto& p : partial) {
-    for (std::size_t b = 0; b < n_buckets; ++b) busy[b] += p[b];
-  }
-  return busy;
+  return acc.integrals();
 }
 
 UtilizationSeries utilization_series(const Trace& t, UnixTime begin, UnixTime end,
@@ -98,14 +83,16 @@ UtilizationSeries vc_utilization_series(const Trace& t, int vc_index,
   UtilizationSeries s;
   s.begin = begin;
   s.step = step;
-  const auto vc_id = static_cast<std::uint32_t>(vc_index);
+  const auto& vcs = t.cluster().vcs;
+  const bool known = vc_index >= 0 && vc_index < static_cast<int>(vcs.size());
+  const auto* vc = known ? &vcs[static_cast<std::size_t>(vc_index)] : nullptr;
+  // Parsed traces intern VC names in first-occurrence order, so the spec
+  // index is not an interned id: resolve by name.
+  const auto vc_id = vc ? t.vcs().find(vc->name) : StringInterner::kNotFound;
   s.values = busy_gpu_seconds(
       t, begin, end, step,
       [vc_id](const JobRecord& j) { return j.vc == vc_id; });
-  const auto& vcs = t.cluster().vcs;
-  const double gpus = vc_index >= 0 && vc_index < static_cast<int>(vcs.size())
-                          ? vcs[static_cast<std::size_t>(vc_index)].total_gpus()
-                          : 0.0;
+  const double gpus = vc ? vc->total_gpus() : 0.0;
   const double capacity = gpus * static_cast<double>(step);
   if (capacity > 0.0) {
     for (auto& v : s.values) v /= capacity;
@@ -192,6 +179,17 @@ std::vector<MonthlyActivity> monthly_trends(const Trace& t, UnixTime begin,
 
 std::vector<VCBehavior> vc_behaviors(const Trace& t, UnixTime begin, UnixTime end,
                                      std::int64_t minute_step) {
+  // One pass over the trace: GPU-job indices grouped by interned VC id, so
+  // each VC below integrates and scans only its own jobs.
+  const auto& jobs = t.jobs();
+  std::vector<std::vector<std::size_t>> by_vc(t.vcs().size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (jobs[i].is_gpu_job() && jobs[i].vc < by_vc.size()) {
+      by_vc[jobs[i].vc].push_back(i);
+    }
+  }
+  const std::vector<std::size_t> no_jobs;
+
   const auto& vcs = t.cluster().vcs;
   std::vector<VCBehavior> out;
   out.reserve(vcs.size());
@@ -200,17 +198,22 @@ std::vector<VCBehavior> vc_behaviors(const Trace& t, UnixTime begin, UnixTime en
     b.vc_index = vi;
     b.name = vcs[static_cast<std::size_t>(vi)].name;
     b.gpus = vcs[static_cast<std::size_t>(vi)].total_gpus();
-    const auto series = vc_utilization_series(t, vi, begin, end, minute_step);
-    b.utilization = stats::box_stats(series.values);
+    const auto vc_id = t.vcs().find(b.name);
+    const auto& members = vc_id < by_vc.size() ? by_vc[vc_id] : no_jobs;
+
+    if (end > begin) {
+      sim::BucketIntegrator acc(begin, end, minute_step);
+      for (const std::size_t i : members) add_busy(acc, jobs[i], end);
+      b.utilization = stats::box_stats_sorted(sorted_utilization(
+          acc.integrals(),
+          static_cast<double>(b.gpus) * static_cast<double>(minute_step)));
+    }
 
     stats::RunningStats req;
     stats::RunningStats delay;
     stats::RunningStats dur;
-    // The trace's vc ids were interned in spec order by the generator; match
-    // by name to stay robust to traces built differently.
-    const auto vc_id = t.vcs().find(b.name);
-    for (const auto& j : t.jobs()) {
-      if (!j.is_gpu_job() || j.vc != vc_id) continue;
+    for (const std::size_t i : members) {
+      const JobRecord& j = jobs[i];
       if (j.submit_time < begin || j.submit_time >= end) continue;
       req.add(j.num_gpus);
       delay.add(static_cast<double>(j.queue_delay()));

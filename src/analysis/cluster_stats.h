@@ -31,11 +31,10 @@ struct UtilizationSeries {
 using JobPredicate = std::function<bool(const trace::JobRecord&)>;
 
 /// Busy GPU-seconds per bucket over [begin, end), counting jobs matching
-/// `pred` (defaults to all GPU jobs). Jobs are clipped to the window.
-/// Large traces are accumulated in parallel: `pred` may be invoked
-/// concurrently from pool threads and must be thread-safe (stateless
-/// lambdas and value captures are fine). Results are deterministic and
-/// machine-independent.
+/// `pred` (defaults to all GPU jobs). Jobs are clipped to the window. One
+/// serial pass adds each job in O(1) to a sim::BucketIntegrator; `pred` is
+/// called once per job on the calling thread. Every term is an integer
+/// (seconds x GPUs), so the sums are exact and independent of job order.
 [[nodiscard]] std::vector<double> busy_gpu_seconds(
     const trace::Trace& t, UnixTime begin, UnixTime end, std::int64_t step,
     const JobPredicate& pred = nullptr);
@@ -45,7 +44,9 @@ using JobPredicate = std::function<bool(const trace::JobRecord&)>;
     const trace::Trace& t, UnixTime begin, UnixTime end, std::int64_t step,
     const JobPredicate& pred = nullptr);
 
-/// Utilization restricted to one VC (capacity = that VC's GPUs).
+/// Utilization restricted to spec VC `vc_index` (capacity = that VC's GPUs).
+/// Jobs are matched by the VC's name, not by the index: a parsed trace
+/// interns VC names in first-occurrence order.
 [[nodiscard]] UtilizationSeries vc_utilization_series(const trace::Trace& t,
                                                       int vc_index,
                                                       UnixTime begin, UnixTime end,

@@ -2,7 +2,11 @@
 // for dumping bench series that downstream plotting scripts can consume.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +24,7 @@ class CsvWriter {
   /// Convenience: format doubles with enough precision to round-trip.
   static std::string field(double v);
   static std::string field(std::int64_t v);
+  static std::string field(std::uint64_t v);
 
  private:
   std::ostream* out_;
@@ -32,6 +37,16 @@ class CsvReader {
   /// never produces). Quotes open a quoted field only at the field start
   /// (RFC 4180); mid-field quotes are literal text.
   static std::vector<std::string> parse_line(std::string_view line);
+
+  /// Allocation-free split of a line without quotes: stores views of the
+  /// first out.size() fields of `line` in `out` and returns the total field
+  /// count (which may exceed out.size()). A final '\r' (CRLF input) is
+  /// dropped. Returns std::nullopt when the line holds a '"' or any other
+  /// '\r' — parse_line must unescape or strip those — so callers fall back
+  /// to parse_line. Whenever it returns a count, the fields equal
+  /// parse_line's.
+  [[nodiscard]] static std::optional<std::size_t> split_unquoted(
+      std::string_view line, std::span<std::string_view> out) noexcept;
 
   /// Read all rows from a stream; skips blank lines (including '\r'-only
   /// lines from CRLF input).

@@ -13,17 +13,24 @@ BucketIntegrator::BucketIntegrator(UnixTime begin, UnixTime end,
   offset_.assign(buckets, 0.0);
 }
 
-forecast::TimeSeries BucketIntegrator::mean_series() const {
-  forecast::TimeSeries s;
-  s.begin = begin_;
-  s.step = step_;
-  s.values.resize(offset_.size());
+std::vector<double> BucketIntegrator::integrals() const {
+  std::vector<double> out(offset_.size());
   const double step = static_cast<double>(step_);
   double running = 0.0;
   for (std::size_t b = 0; b < offset_.size(); ++b) {
     running += slope_[b];
-    s.values[b] = (running * step + offset_[b]) / step;
+    out[b] = running * step + offset_[b];
   }
+  return out;
+}
+
+forecast::TimeSeries BucketIntegrator::mean_series() const {
+  forecast::TimeSeries s;
+  s.begin = begin_;
+  s.step = step_;
+  s.values = integrals();
+  const double step = static_cast<double>(step_);
+  for (double& v : s.values) v /= step;
   return s;
 }
 

@@ -1,14 +1,15 @@
 // Bucketed time integral of a piecewise-constant function.
 //
-// Used for the simulator's busy-nodes / busy-GPUs output series and the CES
-// service's running/active-nodes series: callers report intervals of constant
-// value via add(), and mean_series() reads the result back as per-bucket
-// means.
+// Used for the simulator's busy-nodes / busy-GPUs output series, the CES
+// service's running/active-nodes series and the analysis layer's busy
+// GPU-seconds (analysis::busy_gpu_seconds, vc_behaviors): callers report
+// intervals of constant value via add(), and mean_series() / integrals() read
+// the result back as per-bucket means / per-bucket integrals.
 //
 // add() is O(1) regardless of interval length: each interval contributes a
 // +value/-value pair to a difference array (slope_, covering whole buckets)
 // plus partial-bucket corrections at the two endpoints (offset_); one
-// prefix-sum pass in mean_series() reconstructs every bucket integral. The
+// prefix-sum pass in integrals() reconstructs every bucket integral. The
 // previous implementation walked every covered bucket, which cost
 // O(duration/step) per call — thousands of iterations for a week-long
 // interval at the default 600 s step.
@@ -56,7 +57,12 @@ class BucketIntegrator {
     slope_[b1 + 1] -= value;
   }
 
-  /// Per-bucket mean values.
+  /// Per-bucket integrals (value x seconds), one per bucket. Exact — and
+  /// equal to walking every bucket each interval covers — when the added
+  /// values are integers (see the file comment).
+  [[nodiscard]] std::vector<double> integrals() const;
+
+  /// Per-bucket mean values: integrals() / step.
   [[nodiscard]] forecast::TimeSeries mean_series() const;
 
   [[nodiscard]] std::size_t bucket_count() const noexcept {

@@ -74,10 +74,14 @@ double stddev(std::span<const double> data) noexcept {
 }
 
 BoxStats box_stats(std::span<const double> data) {
-  BoxStats b;
-  if (data.empty()) return b;
   std::vector<double> sorted(data.begin(), data.end());
   std::sort(sorted.begin(), sorted.end());
+  return box_stats_sorted(sorted);
+}
+
+BoxStats box_stats_sorted(std::span<const double> sorted) {
+  BoxStats b;
+  if (sorted.empty()) return b;
   b.count = static_cast<std::int64_t>(sorted.size());
   b.q1 = quantile_sorted(sorted, 0.25);
   b.median = quantile_sorted(sorted, 0.5);

@@ -55,6 +55,11 @@ struct BoxStats {
   [[nodiscard]] double iqr() const noexcept { return q3 - q1; }
 };
 
+/// Box stats of `data` (copies + sorts, then box_stats_sorted).
 [[nodiscard]] BoxStats box_stats(std::span<const double> data);
+
+/// Box stats of data already sorted ascending (no copy) — for callers that
+/// can produce the order more cheaply than a comparison sort.
+[[nodiscard]] BoxStats box_stats_sorted(std::span<const double> sorted);
 
 }  // namespace helios::stats

@@ -1,6 +1,8 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -28,20 +30,50 @@ JobRecord& Trace::add(UnixTime submit, std::int32_t duration, std::int32_t gpus,
   return jobs_.back();
 }
 
+namespace {
+
+constexpr std::size_t kCsvFields = 10;
+
+/// Parses a whole numeric field; anything from_chars does not consume in
+/// full, or that does not fit T, is a typed error naming the field.
+template <typename T>
+T parse_number(std::string_view text, const char* field) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last) {
+    throw std::runtime_error("trace CSV: bad " + std::string(field) + " '" +
+                             std::string(text) + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 bool Trace::append_csv_row(std::string_view line) {
   if (CsvReader::is_blank_line(line)) return false;
-  const auto fields = CsvReader::parse_line(line);
-  if (fields.size() != 10) {
-    throw std::runtime_error("trace CSV: expected 10 fields, got " +
-                             std::to_string(fields.size()));
+  std::array<std::string_view, kCsvFields> f;
+  auto count = CsvReader::split_unquoted(line, f);
+  std::vector<std::string> owned;  // the unescaped fields of a quoted row
+  if (!count) {
+    owned = CsvReader::parse_line(line);
+    count = owned.size();
+    std::copy_n(owned.begin(), std::min(owned.size(), kCsvFields), f.begin());
   }
-  auto& j = add(std::stoll(fields[1]),
-                static_cast<std::int32_t>(std::stol(fields[3])),
-                static_cast<std::int32_t>(std::stol(fields[4])),
-                static_cast<std::int32_t>(std::stol(fields[5])), fields[6],
-                fields[7], fields[8], job_state_from_string(fields[9]));
-  j.job_id = static_cast<std::uint64_t>(std::stoull(fields[0]));
-  j.start_time = std::stoll(fields[2]);
+  if (*count != kCsvFields) {
+    throw std::runtime_error("trace CSV: expected 10 fields, got " +
+                             std::to_string(*count));
+  }
+  const auto job_id = parse_number<std::uint64_t>(f[0], "job_id");
+  const auto submit = parse_number<UnixTime>(f[1], "submit_time");
+  const auto start = parse_number<std::int64_t>(f[2], "start_time");
+  const auto duration = parse_number<std::int32_t>(f[3], "duration");
+  const auto gpus = parse_number<std::int32_t>(f[4], "num_gpus");
+  const auto cpus = parse_number<std::int32_t>(f[5], "num_cpus");
+  auto& j = add(submit, duration, gpus, cpus, f[6], f[7], f[8],
+                job_state_from_string(f[9]));
+  j.job_id = job_id;
+  j.start_time = start;
   return true;
 }
 
@@ -108,7 +140,7 @@ void Trace::save_csv_rows(std::ostream& out, std::size_t first,
   const std::size_t end = std::min(jobs_.size(), first + count);
   for (std::size_t i = first; i < end; ++i) {
     const JobRecord& j = jobs_[i];
-    w.write_row({CsvWriter::field(static_cast<std::int64_t>(j.job_id)),
+    w.write_row({CsvWriter::field(j.job_id),
                  CsvWriter::field(j.submit_time), CsvWriter::field(j.start_time),
                  CsvWriter::field(static_cast<std::int64_t>(j.duration)),
                  CsvWriter::field(static_cast<std::int64_t>(j.num_gpus)),

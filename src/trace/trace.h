@@ -30,7 +30,11 @@ class Trace {
 
   /// Parse one CSV data line (the load_csv schema, sans header) and append
   /// it. Returns false (without appending) for blank lines — empty or a lone
-  /// '\r' from CRLF input. Throws std::runtime_error on a malformed row.
+  /// '\r' from CRLF input. Throws std::runtime_error on a malformed row: a
+  /// field count other than 10, or a numeric field that is not a whole
+  /// decimal integer in its type's range (the message names the field).
+  /// Rows without quotes are split in place and parsed with from_chars, no
+  /// allocation beyond interning new strings.
   bool append_csv_row(std::string_view line);
 
   /// Append all of `other`'s jobs, re-interning their user/vc/name ids into

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <vector>
+
 #include "analysis/cluster_stats.h"
 #include "analysis/job_stats.h"
 #include "analysis/user_stats.h"
+#include "common/rng.h"
+#include "trace/parallel_loader.h"
+#include "trace/synthetic.h"
 
 namespace helios::analysis {
 namespace {
@@ -46,6 +55,68 @@ TEST(BusyGpuSeconds, PredicateFilters) {
   const auto only_big = busy_gpu_seconds(
       t, 0, 100, 100, [](const trace::JobRecord& j) { return j.num_gpus >= 4; });
   EXPECT_DOUBLE_EQ(only_big[0], 400.0);
+}
+
+/// Brute force: every second a matching GPU job runs inside [begin, end)
+/// adds its GPUs to the bucket holding that second.
+std::vector<double> per_second_busy(const Trace& t, UnixTime begin, UnixTime end,
+                                    std::int64_t step, const JobPredicate& pred) {
+  std::vector<double> busy(static_cast<std::size_t>((end - begin + step - 1) / step),
+                           0.0);
+  for (const auto& j : t.jobs()) {
+    if (!j.started() || j.num_gpus <= 0 || (pred && !pred(j))) continue;
+    const UnixTime hi = std::min<UnixTime>(j.end_time(), end);
+    for (UnixTime sec = std::max<UnixTime>(j.start_time, begin); sec < hi; ++sec) {
+      busy[static_cast<std::size_t>((sec - begin) / step)] += j.num_gpus;
+    }
+  }
+  return busy;
+}
+
+void expect_bits_equal(const std::vector<double>& got,
+                       const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[b]),
+              std::bit_cast<std::uint64_t>(want[b]))
+        << "bucket " << b << ": " << got[b] << " vs " << want[b];
+  }
+}
+
+TEST(BusyGpuSeconds, MatchesPerSecondReferenceBitForBit) {
+  // A window of two and a half days that is aligned to none of the steps;
+  // jobs cross both window edges, have zero length, never start, run for
+  // days, or use no GPUs.
+  const UnixTime begin = from_civil(2020, 5, 1) + 137;
+  const UnixTime end = begin + 2 * kSecondsPerDay + kSecondsPerDay / 2 + 41;
+  const std::int64_t day = kSecondsPerDay;
+  Rng rng(2024);
+  Trace t(spec_2x8());
+  for (int i = 0; i < 160; ++i) {
+    const auto kind = rng.uniform_index(6);
+    UnixTime start = begin + rng.uniform_int(-day, end - begin + day);
+    std::int64_t duration = rng.uniform_int(1, 7200);
+    if (kind == 0) start = begin - rng.uniform_int(1, day);   // crosses begin
+    if (kind == 1) start = end - rng.uniform_int(1, 7200);    // crosses end
+    if (kind == 2) duration = 0;                              // zero length
+    if (kind == 3) duration = rng.uniform_int(day, 5 * day);  // runs for days
+    const auto gpus = static_cast<std::int32_t>(rng.uniform_int(0, 64));
+    auto& j = t.add(start - rng.uniform_int(0, 600),
+                    static_cast<std::int32_t>(duration), gpus, 4, "u",
+                    i % 2 == 0 ? "vcA" : "vcB", "j", JobState::kCompleted);
+    j.start_time = kind == 4 ? trace::kNeverStarted : start;
+  }
+  const JobPredicate big = [](const trace::JobRecord& j) {
+    return j.num_gpus >= 8;
+  };
+  for (const std::int64_t step : {1, 60, 600, 86400}) {
+    SCOPED_TRACE(step);
+    expect_bits_equal(busy_gpu_seconds(t, begin, end, step),
+                      per_second_busy(t, begin, end, step, nullptr));
+    expect_bits_equal(busy_gpu_seconds(t, begin, end, step, big),
+                      per_second_busy(t, begin, end, step, big));
+  }
+  EXPECT_TRUE(busy_gpu_seconds(t, end, begin, 60).empty());  // empty window
 }
 
 TEST(UtilizationSeries, NormalizedByCapacity) {
@@ -210,6 +281,113 @@ TEST(VcBehaviors, SortedBySizeWithStats) {
   EXPECT_EQ(with_job.jobs, 1);
   EXPECT_DOUBLE_EQ(with_job.avg_gpu_request, 8.0);
   EXPECT_DOUBLE_EQ(with_job.avg_duration, 600.0);
+}
+
+TEST(VcBehaviors, ResolvesVcByNameNotSpecIndex) {
+  // The first row belongs to the second spec VC, so the interner gives vcB
+  // id 0 and vcA id 1: the reverse of the spec indices.
+  Trace t(spec_2x8());
+  const auto day = from_civil(2020, 5, 2);
+  t.add(day, 3600, 8, 8, "u", "vcB", "b", JobState::kCompleted);
+  t.add(day, 3600, 2, 2, "u", "vcA", "a", JobState::kCompleted);
+  ASSERT_EQ(t.vcs().find("vcB"), 0u);
+
+  const auto b = vc_behaviors(t, day, day + 3600, 60);
+  ASSERT_EQ(b.size(), 2u);
+  for (const auto& vc : b) {
+    const double util = vc.name == "vcB" ? 1.0 : 0.25;
+    const double req = vc.name == "vcB" ? 8.0 : 2.0;
+    EXPECT_EQ(vc.utilization.median, util) << vc.name;
+    EXPECT_EQ(vc.utilization.q1, util) << vc.name;
+    EXPECT_EQ(vc.avg_gpu_request, req) << vc.name;
+  }
+  EXPECT_EQ(vc_utilization_series(t, 0, day, day + 3600, 600).values[0], 0.25);
+  EXPECT_EQ(vc_utilization_series(t, 1, day, day + 3600, 600).values[0], 1.0);
+}
+
+void expect_same_box(const stats::BoxStats& a, const stats::BoxStats& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.q1), std::bit_cast<std::uint64_t>(b.q1));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.median),
+            std::bit_cast<std::uint64_t>(b.median));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.q3), std::bit_cast<std::uint64_t>(b.q3));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.whisker_lo),
+            std::bit_cast<std::uint64_t>(b.whisker_lo));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.whisker_hi),
+            std::bit_cast<std::uint64_t>(b.whisker_hi));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean), std::bit_cast<std::uint64_t>(b.mean));
+  EXPECT_EQ(a.count, b.count);
+}
+
+void expect_same_behaviors(const std::vector<VCBehavior>& a,
+                           const std::vector<VCBehavior>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(a[i].name);
+    EXPECT_EQ(a[i].vc_index, b[i].vc_index);
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(a[i].jobs, b[i].jobs);
+    EXPECT_EQ(a[i].avg_gpu_request, b[i].avg_gpu_request);
+    EXPECT_EQ(a[i].avg_queue_delay, b[i].avg_queue_delay);
+    EXPECT_EQ(a[i].avg_duration, b[i].avg_duration);
+    expect_same_box(a[i].utilization, b[i].utilization);
+  }
+}
+
+Trace small_venus() {
+  return trace::SyntheticTraceGenerator(
+             trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 7,
+                                            0.05))
+      .generate();
+}
+
+TEST(VcBehaviors, ParsedTraceMatchesGeneratedTrace) {
+  const Trace generated = small_venus();
+  std::ostringstream csv;
+  generated.save_csv(csv);
+  trace::LoadOptions opts;
+  opts.threads = 4;
+  opts.min_chunk_bytes = 1 << 12;
+  const Trace parsed =
+      trace::ParallelLoader(opts).load(csv.str(), generated.cluster());
+  // The test only has teeth if parsing renumbered some VC.
+  bool renumbered = false;
+  for (const auto& vc : generated.cluster().vcs) {
+    renumbered |= generated.vcs().find(vc.name) != parsed.vcs().find(vc.name);
+  }
+  ASSERT_TRUE(renumbered);
+
+  const UnixTime begin = trace::helios_trace_begin();
+  const UnixTime end = begin + 30 * kSecondsPerDay;
+  expect_same_behaviors(vc_behaviors(parsed, begin, end),
+                        vc_behaviors(generated, begin, end));
+}
+
+TEST(VcBehaviors, BoxEqualsSortingBoxStatsOfTheSeries) {
+  // vc_behaviors orders the samples by counting sort (or by sorting, when
+  // an over-committed VC's key range is too wide); either way its box must
+  // be the sorting stats::box_stats of the VC's own series, bit for bit.
+  Trace heavy(spec_2x8());
+  const auto day = from_civil(2020, 5, 2);
+  heavy.add(day, 7200, 100000, 8, "u", "vcA", "wide", JobState::kCompleted);
+  heavy.add(day + 600, 1800, 3, 8, "u", "vcB", "narrow", JobState::kCompleted);
+  const Trace venus = small_venus();
+  const UnixTime begin = trace::helios_trace_begin();
+  const struct {
+    const Trace* t;
+    UnixTime begin;
+    UnixTime end;
+  } cases[] = {{&heavy, day - 1800, day + 9000},
+               {&venus, begin, begin + 30 * kSecondsPerDay}};
+  for (const auto& c : cases) {
+    for (const std::int64_t step : {60, 600}) {
+      for (const auto& b : vc_behaviors(*c.t, c.begin, c.end, step)) {
+        SCOPED_TRACE(b.name);
+        const auto series =
+            vc_utilization_series(*c.t, b.vc_index, c.begin, c.end, step);
+        expect_same_box(b.utilization, stats::box_stats(series.values));
+      }
+    }
+  }
 }
 
 }  // namespace

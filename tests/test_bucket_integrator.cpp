@@ -18,9 +18,9 @@ struct Interval {
   double value;
 };
 
-/// Naive reference: walk every covered bucket (the pre-PR implementation).
-std::vector<double> naive_means(UnixTime begin, UnixTime end, std::int64_t step,
-                                const std::vector<Interval>& intervals) {
+/// Naive reference: walk every covered bucket, summing value x seconds.
+std::vector<double> naive_sums(UnixTime begin, UnixTime end, std::int64_t step,
+                               const std::vector<Interval>& intervals) {
   std::vector<double> sums(static_cast<std::size_t>(
                                std::max<std::int64_t>(1, (end - begin + step - 1) / step)),
                            0.0);
@@ -37,8 +37,14 @@ std::vector<double> naive_means(UnixTime begin, UnixTime end, std::int64_t step,
       sums[b] += value * static_cast<double>(std::min(t1, hi) - std::max(t0, lo));
     }
   }
-  for (double& v : sums) v /= static_cast<double>(step);
   return sums;
+}
+
+std::vector<double> naive_means(UnixTime begin, UnixTime end, std::int64_t step,
+                                const std::vector<Interval>& intervals) {
+  auto means = naive_sums(begin, end, step, intervals);
+  for (double& v : means) v /= static_cast<double>(step);
+  return means;
 }
 
 TEST(BucketIntegrator, MatchesNaiveReferenceExactly) {
@@ -119,6 +125,33 @@ TEST(BucketIntegrator, AddOrderDoesNotChangeASingleBit) {
   for (std::size_t b = 0; b < want.values.size(); ++b) {
     ASSERT_EQ(rev.values[b], want.values[b]) << "bucket " << b;
     ASSERT_EQ(mix.values[b], want.values[b]) << "bucket " << b;
+  }
+}
+
+TEST(BucketIntegrator, IntegralsAreExactBucketSums) {
+  // integrals() is the undivided read-out analysis::busy_gpu_seconds returns:
+  // it must equal the walk-every-bucket sums exactly, and mean_series() must
+  // be exactly integrals() / step. The window end is not step-aligned.
+  const UnixTime begin = 500;
+  const UnixTime end = 500 + 60 * 97 + 13;
+  const std::int64_t step = 60;
+  Rng rng(11);
+  std::vector<Interval> intervals;
+  for (int i = 0; i < 400; ++i) {
+    const auto t0 = static_cast<UnixTime>(rng.uniform_index(60 * 100));
+    const auto len = static_cast<std::int64_t>(rng.uniform_index(60 * 30));
+    intervals.push_back({t0, t0 + len, static_cast<double>(rng.uniform_index(64))});
+  }
+  BucketIntegrator acc(begin, end, step);
+  for (const auto& iv : intervals) acc.add(iv.t0, iv.t1, iv.value);
+  const auto sums = acc.integrals();
+  const auto expected = naive_sums(begin, end, step, intervals);
+  const auto means = acc.mean_series();
+  ASSERT_EQ(sums.size(), expected.size());
+  ASSERT_EQ(means.values.size(), expected.size());
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    ASSERT_EQ(sums[b], expected[b]) << "bucket " << b;
+    ASSERT_EQ(means.values[b], sums[b] / static_cast<double>(step)) << b;
   }
 }
 

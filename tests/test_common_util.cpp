@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -11,6 +13,7 @@
 #include "common/csv.h"
 #include "common/env.h"
 #include "common/interner.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "common/text_table.h"
 #include "common/thread_pool.h"
@@ -41,6 +44,77 @@ TEST(Csv, QuotedRoundTrip) {
   EXPECT_EQ(fields[0], "plain");
   EXPECT_EQ(fields[1], "with,comma");
   EXPECT_EQ(fields[2], "with\"quote");
+}
+
+/// A random CSV field as it appears on the line: plain text (possibly
+/// empty), a quoted field with commas and doubled quotes, or a stray quote
+/// inside plain text.
+std::string random_csv_field(Rng& rng) {
+  static const char kPlain[] = "ab7 -_.x";
+  static const char kQuoted[] = "a,\"b \r";
+  std::string f;
+  switch (rng.uniform_index(4)) {
+    case 0:
+      break;  // empty
+    case 1:
+    case 2:
+      for (auto n = rng.uniform_index(8); n > 0; --n) {
+        f += kPlain[rng.uniform_index(sizeof kPlain - 1)];
+      }
+      break;
+    default:
+      if (rng.bernoulli(0.7)) {  // quoted, escapes doubled
+        f += '"';
+        for (auto n = rng.uniform_index(8); n > 0; --n) {
+          const char c = kQuoted[rng.uniform_index(sizeof kQuoted - 1)];
+          f += c;
+          if (c == '"') f += '"';
+        }
+        f += '"';
+      } else {  // stray quote mid-field: literal text
+        f = "ab\"c";
+      }
+  }
+  return f;
+}
+
+TEST(Csv, SplitUnquotedAgreesWithParseLine) {
+  Rng rng(31);
+  int fast = 0;
+  int fallback = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string line;
+    const auto fields = 1 + rng.uniform_index(12);
+    for (std::uint64_t i = 0; i < fields; ++i) {
+      if (i > 0) line += ',';
+      line += random_csv_field(rng);
+    }
+    if (rng.bernoulli(0.3)) line += '\r';  // CRLF ending
+    const auto want = CsvReader::parse_line(line);
+    std::array<std::string_view, 10> out;
+    const auto got = CsvReader::split_unquoted(line, out);
+    const bool needs_parse =
+        line.find('"') != std::string::npos ||
+        line.substr(0, line.size() - (line.ends_with('\r') ? 1 : 0))
+                .find('\r') != std::string::npos;
+    ASSERT_EQ(got.has_value(), !needs_parse) << line;
+    if (!got) {
+      ++fallback;
+      continue;
+    }
+    ++fast;
+    ASSERT_EQ(*got, want.size()) << line;
+    for (std::size_t i = 0; i < std::min(*got, out.size()); ++i) {
+      ASSERT_EQ(out[i], want[i]) << line << " field " << i;
+    }
+  }
+  EXPECT_GT(fast, 500);  // both paths were exercised
+  EXPECT_GT(fallback, 500);
+  std::array<std::string_view, 2> two;
+  EXPECT_FALSE(CsvReader::split_unquoted("a\rb,c", two));  // interior CR
+  EXPECT_EQ(CsvReader::split_unquoted("", two), 1u);
+  EXPECT_EQ(CsvReader::split_unquoted("x,y,z\r", two), 3u);  // counts past out
+  EXPECT_EQ(two[1], "y");
 }
 
 TEST(Csv, NumericFieldsRoundTrip) {

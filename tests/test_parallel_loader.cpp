@@ -249,6 +249,27 @@ TEST(ParallelLoader, MalformedRowThrowsFromWorkerThreads) {
                std::runtime_error);
 }
 
+TEST(ParallelLoader, CorruptNumericFieldThrowsTypedErrorOnEveryPath) {
+  // The bad row sits mid-input so the sharded path meets it on a worker.
+  const std::string head = to_csv(make_trace(300));
+  const std::string tail = to_csv(make_trace(300)).substr(head.find('\n') + 1);
+  for (const char* bad : {"12x", "abc", "4294967297"}) {
+    const std::string csv =
+        head + "9,100,100,5," + bad + ",4,alice,vcA,x,completed\n" + tail;
+    for (std::size_t threads : {1u, 8u}) {
+      try {
+        (void)parallel_load(csv, threads);
+        ADD_FAILURE() << bad << " accepted with " << threads << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("num_gpus"), std::string::npos)
+            << e.what();
+      }
+    }
+    std::istringstream is(csv);
+    EXPECT_THROW((void)Trace::load_csv(is, ClusterSpec{}), std::runtime_error);
+  }
+}
+
 TEST(ParallelLoader, MissingFileThrows) {
   EXPECT_THROW(ParallelLoader().load_file("/nonexistent/trace.csv",
                                           ClusterSpec{}),

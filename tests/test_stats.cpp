@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,6 +80,43 @@ TEST(BoxStats, MatchesPaperDefinition) {
   EXPECT_LT(b.whisker_hi, 1000.0);  // outlier excluded
   EXPECT_DOUBLE_EQ(b.whisker_lo, 1.0);
   EXPECT_EQ(b.count, 101);
+}
+
+TEST(BoxStats, SortedVariantOnCountingSortedIntegersMatches) {
+  // vc_behaviors feeds box_stats_sorted with integer busy GPU-seconds that
+  // were counting-sorted and then divided by a positive capacity; that must
+  // reproduce the sorting box_stats of the divided samples bit for bit.
+  Rng rng(99);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = 1 + rng.uniform_index(400);
+    const auto keys = 1 + rng.uniform_index(trial % 2 == 0 ? 8 : 5000);
+    const double capacity = static_cast<double>(60 * (1 + rng.uniform_index(64)));
+    std::vector<std::uint64_t> busy(n);
+    for (auto& b : busy) b = rng.uniform_index(keys);
+    std::vector<double> samples;
+    for (const auto b : busy) samples.push_back(static_cast<double>(b) / capacity);
+
+    std::vector<std::size_t> count(keys, 0);
+    for (const auto b : busy) ++count[b];
+    std::vector<double> sorted;
+    for (std::size_t k = 0; k < keys; ++k) {
+      sorted.insert(sorted.end(), count[k], static_cast<double>(k) / capacity);
+    }
+
+    const BoxStats want = box_stats(samples);
+    const BoxStats got = box_stats_sorted(sorted);
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.q1), std::bit_cast<std::uint64_t>(want.q1));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.median),
+              std::bit_cast<std::uint64_t>(want.median));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.q3), std::bit_cast<std::uint64_t>(want.q3));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.whisker_lo),
+              std::bit_cast<std::uint64_t>(want.whisker_lo));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.whisker_hi),
+              std::bit_cast<std::uint64_t>(want.whisker_hi));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.mean), std::bit_cast<std::uint64_t>(want.mean));
+  }
+  EXPECT_EQ(box_stats_sorted(std::vector<double>{}).count, 0);
 }
 
 TEST(Ecdf, EvaluatesFractions) {

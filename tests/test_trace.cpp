@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "common/rng.h"
 
 #include "trace/cluster_config.h"
 #include "trace/trace.h"
@@ -83,6 +87,94 @@ TEST(Trace, CsvRoundTrip) {
 TEST(Trace, CsvRejectsMalformedRows) {
   std::stringstream ss("header\n1,2,3\n");
   EXPECT_THROW(Trace::load_csv(ss, ClusterSpec{}), std::runtime_error);
+}
+
+/// Expects `row` to be rejected with a std::runtime_error naming `field`,
+/// leaving the trace untouched (no job appended, no string interned).
+void expect_field_error(const std::string& row, const std::string& field) {
+  Trace t;
+  try {
+    t.append_csv_row(row);
+    ADD_FAILURE() << "accepted: " << row;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << row << " -> " << e.what();
+  }
+  EXPECT_TRUE(t.empty()) << row;
+  EXPECT_TRUE(t.users().empty()) << row;
+}
+
+TEST(Trace, CsvRejectsCorruptNumericFields) {
+  struct Case {
+    std::size_t index;
+    const char* text;
+    const char* field;
+  };
+  const Case cases[] = {
+      {4, "12x", "num_gpus"},         // trailing garbage
+      {4, "abc", "num_gpus"},         // not a number at all
+      {4, "4294967297", "num_gpus"},  // would wrap to 1 as int32
+      {4, "", "num_gpus"},
+      {3, "2147483648", "duration"},
+      {5, "1.5", "num_cpus"},
+      {5, " 4", "num_cpus"},          // leading space
+      {1, "99999999999999999999", "submit_time"},
+      {2, "12-", "start_time"},
+      {0, "-1", "job_id"},            // unsigned
+      {0, "+7", "job_id"},
+  };
+  const std::string fields[] = {"7",     "100", "120",  "50",    "4",
+                                "8",     "alice", "vcA", "train", "completed"};
+  for (const auto& c : cases) {
+    for (const bool quoted : {false, true}) {  // fast split and fallback
+      std::string row;
+      for (std::size_t i = 0; i < 10; ++i) {
+        if (i > 0) row += ',';
+        row += i == c.index ? std::string(c.text)
+               : quoted && i == 8 ? std::string("\"tr,ain\"")
+                                  : fields[i];
+      }
+      expect_field_error(row, c.field);
+    }
+  }
+  Trace ok;
+  ASSERT_TRUE(ok.append_csv_row("7,100,-1,50,2147483647,8,alice,vcA,\"a,b\",completed\r"));
+  EXPECT_EQ(ok.jobs()[0].num_gpus, 2147483647);
+  EXPECT_FALSE(ok.jobs()[0].started());
+  EXPECT_EQ(ok.job_name(ok.jobs()[0]), "a,b");
+}
+
+TEST(Trace, CsvRowsRoundTripRandomStrings) {
+  // Writer-encoded rows with random names (commas, quotes, CR inside
+  // quotes, empty) and random CRLF endings parse back to the same record
+  // through either the fast split or the quoted fallback.
+  static const char kChars[] = "ab,\"\r x_";
+  Rng rng(17);
+  Trace written;
+  Trace parsed;
+  for (int i = 0; i < 2000; ++i) {
+    std::string strs[3];
+    for (auto& str : strs) {
+      for (auto n = rng.uniform_index(6); n > 0; --n) {
+        str += kChars[rng.uniform_index(sizeof kChars - 1)];
+      }
+    }
+    auto& j = written.add(rng.uniform_int(-5, 1'700'000'000),
+                          static_cast<std::int32_t>(rng.uniform_int(0, 1 << 30)),
+                          static_cast<std::int32_t>(rng.uniform_int(0, 64)),
+                          static_cast<std::int32_t>(rng.uniform_int(0, 96)),
+                          strs[0], strs[1], strs[2],
+                          static_cast<JobState>(rng.uniform_index(3)));
+    j.job_id = rng.next();
+    j.start_time = rng.bernoulli(0.2) ? kNeverStarted : j.submit_time + 7;
+    std::ostringstream os;
+    written.save_csv_rows(os, written.size() - 1, 1);
+    std::string line = os.str();
+    line.pop_back();  // '\n'
+    if (rng.bernoulli(0.5)) line += '\r';
+    ASSERT_TRUE(parsed.append_csv_row(line)) << line;
+  }
+  EXPECT_TRUE(parsed.contents_equal(written));
 }
 
 TEST(JobState, StringRoundTrip) {
