@@ -48,8 +48,10 @@ using TracePtr = sweep::TraceStore::TracePtr;
 
 /// Prints the standard experiment banner:
 ///   experiment id, paper reference, scale/seed, free-form notes.
+/// `run_scale` is the scale the bench actually runs, for benches with their
+/// own scale knob.
 void print_header(const std::string& experiment, const std::string& title,
-                  const std::string& notes = "");
+                  const std::string& notes = "", double run_scale = scale());
 
 /// Prints a "paper reports vs. we measure" comparison line.
 void print_expectation(const std::string& what, const std::string& paper,

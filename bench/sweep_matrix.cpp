@@ -26,11 +26,11 @@
 #include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/env.h"
+#include "common/thread_pool.h"
 #include "stats/summary.h"
 #include "sweep/scenario_engine.h"
 
@@ -146,10 +146,12 @@ int main() {
   for (const auto& c : par.cells) cell_ms.push_back(c.wall_ms);
   const double med_cell_ms = stats::median(cell_ms);
   const double speedup = par_s > 0 ? ser_s / par_s : 0.0;
-  const unsigned threads = std::thread::hardware_concurrency();
+  // The width the parallel run actually had (HELIOS_THREADS, else hardware
+  // concurrency), not the machine's core count.
+  const std::size_t threads = global_pool().thread_count();
   std::printf(
       "grid wall: parallel %.2fs, serial loop %.2fs -> speedup %.2fx "
-      "(%u hw threads); median cell %.1f ms\n",
+      "(%zu pool threads); median cell %.1f ms\n",
       par_s, ser_s, speedup, threads, med_cell_ms);
 
   std::printf("%s", sweep::comparison_report(par).c_str());
@@ -171,7 +173,7 @@ int main() {
         << "  \"serial_wall_s\": " << ser_s << ",\n"
         << "  \"speedup\": " << speedup << ",\n"
         << "  \"median_cell_ms\": " << med_cell_ms << ",\n"
-        << "  \"hw_threads\": " << threads << "\n"
+        << "  \"pool_threads\": " << threads << "\n"
         << "}\n";
     std::printf("wrote %s\n", out_path.c_str());
   }

@@ -22,6 +22,12 @@
 #                      kill/restore, and exits non-zero unless the streamed
 #                      priorities are bit-identical to the batch evaluator
 #                      and every checkpoint is an exact prefix
+#   ./ci.sh threads    full build + the multi-worker paths at every pool
+#                      width in {1, 2, 3, 8} (HELIOS_THREADS): the smoke
+#                      suites (test_sweep among them), the default 6-cluster
+#                      sweep_matrix at scale 0.05, example_serve_replay and
+#                      ablation_power, each step under `timeout` so a
+#                      deadlock fails instead of hanging
 #   ./ci.sh docs       no build: verify that docs/ARCHITECTURE.md and
 #                      docs/FORMATS.md only reference files and CMake
 #                      targets that still exist
@@ -36,15 +42,15 @@
 #                      suites must pass bit-identically either way
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
-# simd) or to the microbenchmarks (bench).
+# simd/threads) or to the microbenchmarks (bench).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|docs|asan|simd) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|simd] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|threads|docs|asan|simd) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|threads|docs|asan|simd] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -190,6 +196,20 @@ if [ "$mode" = serve ]; then
   # kill/restore — exits non-zero and fails CI.
   HELIOS_SERVE_SCALE="${HELIOS_SERVE_SCALE:-0.02}" \
     build/example_serve_replay
+  exit 0
+fi
+
+if [ "$mode" = threads ]; then
+  # Nested fork-join at every pool width, including widths above the core
+  # count. Every step is parity- or self-gated and bounded by `timeout`.
+  for threads in 1 2 3 8; do
+    echo "=== HELIOS_THREADS=$threads ==="
+    export HELIOS_THREADS=$threads
+    (cd build && timeout 600 ctest -L smoke --output-on-failure -j "$(nproc)" "$@")
+    HELIOS_SWEEP_SCALE=0.05 timeout 300 build/sweep_matrix
+    HELIOS_SERVE_SCALE=0.02 timeout 300 build/example_serve_replay
+    HELIOS_POWER_SCALE=0.05 timeout 300 build/ablation_power
+  done
   exit 0
 fi
 

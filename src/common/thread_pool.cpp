@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "common/env.h"
 
@@ -28,20 +30,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
+void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
-    tasks_.push(std::move(packaged));
+    tasks_.push(std::move(task));
   }
   cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
@@ -49,8 +48,60 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();  // packaged_task captures exceptions into the future
+    task();
   }
+}
+
+void ThreadPool::fork_join(std::size_t n,
+                           const std::function<void(std::size_t)>& body) {
+  // Shared ownership: a helper may start only after every index is claimed
+  // and the caller has returned; it then finds the counter exhausted and
+  // leaves without touching `body`.
+  struct Shared {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t error_index = SIZE_MAX;
+    std::exception_ptr error;
+  };
+  auto shared = std::make_shared<Shared>();
+  auto drain = [shared, n, body = &body] {
+    for (;;) {
+      const std::size_t i = shared->next.fetch_add(1);
+      if (i >= n) return;
+      try {
+        (*body)(i);
+      } catch (...) {
+        // The lowest failing index wins, so the rethrown error does not
+        // depend on scheduling or on the pool width.
+        std::lock_guard lock(shared->mutex);
+        if (i < shared->error_index) {
+          shared->error_index = i;
+          shared->error = std::current_exception();
+        }
+      }
+      if (shared->done.fetch_add(1) + 1 == n) {
+        std::lock_guard lock(shared->mutex);
+        shared->cv.notify_all();
+      }
+    }
+  };
+  // A single index, or a single-threaded pool, gains nothing from helpers:
+  // the caller runs everything inline (on a one-core machine the handoff to
+  // the lone worker otherwise costs real wall time on every call).
+  const std::size_t helpers =
+      n > 1 && workers_.size() > 1 ? std::min(n - 1, workers_.size()) : 0;
+  for (std::size_t h = 0; h < helpers; ++h) post(drain);
+  // The caller drains too, so it finishes its own indices even when every
+  // worker is blocked further up the stack; it waits only for indices a
+  // helper already claimed, never for a helper to be scheduled.
+  drain();
+  std::unique_lock lock(shared->mutex);
+  shared->cv.wait(lock, [&] { return shared->done.load() == n; });
+  // Move the error out, so the exception is released on the caller's thread
+  // rather than by whichever late helper drops `shared` last.
+  if (shared->error) std::rethrow_exception(std::exchange(shared->error, {}));
 }
 
 ThreadPool& global_pool() {
@@ -80,80 +131,13 @@ std::vector<std::pair<std::size_t, std::size_t>> chunk_ranges(
 void parallel_run_chunks(
     const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (chunks.empty()) return;
-  auto& pool = global_pool();
-  // A single chunk, or a single-threaded pool, gains nothing from dispatch:
-  // run inline on the caller (on a one-core machine the handoff to the lone
-  // worker otherwise costs real wall time on every call).
-  if (chunks.size() == 1 || pool.thread_count() <= 1) {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      fn(i, chunks[i].first, chunks[i].second);
-    }
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const auto [lo, hi] = chunks[i];
-    futures.push_back(pool.submit([i, lo, hi, &fn] { fn(i, lo, hi); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  global_pool().fork_join(chunks.size(), [&](std::size_t i) {
+    fn(i, chunks[i].first, chunks[i].second);
+  });
 }
 
 void parallel_run_tasks(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    tasks[0]();
-    return;
-  }
-  // Shared ownership so helper jobs that outlive the call (they may still be
-  // spinning through the exhausted task list) never touch freed state.
-  struct Shared {
-    std::vector<std::function<void()>> tasks;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::exception_ptr error;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->tasks = std::move(tasks);
-  const std::size_t n = shared->tasks.size();
-  auto drain = [shared, n] {
-    for (;;) {
-      const std::size_t i = shared->next.fetch_add(1);
-      if (i >= n) return;
-      try {
-        shared->tasks[i]();
-      } catch (...) {
-        std::lock_guard lock(shared->mutex);
-        if (!shared->error) shared->error = std::current_exception();
-      }
-      if (shared->done.fetch_add(1) + 1 == n) {
-        std::lock_guard lock(shared->mutex);
-        shared->cv.notify_all();
-      }
-    }
-  };
-  auto& pool = global_pool();
-  // A single-threaded pool adds nothing over the caller draining alone, and
-  // on a one-core machine the extra thread only causes context-switch
-  // ping-pong with the caller.
-  const std::size_t helpers =
-      pool.thread_count() > 1 ? std::min(n - 1, pool.thread_count()) : 0;
-  for (std::size_t h = 0; h < helpers; ++h) pool.submit(drain);
-  drain();
-  std::unique_lock lock(shared->mutex);
-  shared->cv.wait(lock, [&] { return shared->done.load() == n; });
-  if (shared->error) std::rethrow_exception(shared->error);
+  global_pool().fork_join(tasks.size(), [&](std::size_t i) { tasks[i](); });
 }
 
 void parallel_for_chunks(std::size_t begin, std::size_t end,

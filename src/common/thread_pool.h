@@ -1,4 +1,4 @@
-// Minimal fixed-size thread pool with a blocking parallel_for.
+// Minimal fixed-size thread pool with blocking fork-join drivers.
 //
 // The heavy kernels (GBDT histogram builds, trace generation per cluster,
 // backtests) are embarrassingly parallel over ranges; parallel_for splits
@@ -6,15 +6,18 @@
 // shared process-wide via global_pool() so nested code reuses threads instead
 // of oversubscribing the (possibly small) machine.
 //
-// Thread-safety: every member and free function here is safe to call from
-// any thread, including pool workers — submit() is internally locked, and
-// the blocking drivers (parallel_for*, parallel_run_chunks,
-// parallel_map_reduce) run chunks on the calling thread when the range is
-// small, so they never deadlock on a saturated pool. parallel_run_tasks
-// goes further: the caller drains the shared task list itself, making it
-// safe even when every other worker is blocked (the VC-sharded simulator
-// nests on it). The *callbacks* handed to these drivers run concurrently —
-// they must synchronize any shared mutable state themselves.
+// One fork-join core sits under every driver: the calling thread and up to
+// `width` pool helpers claim indices from one shared counter, and the caller
+// waits only for the indices to finish, never for a helper to start. The
+// caller alone can therefore always finish its own work, so the drivers nest
+// to any depth — inside pool tasks, under a saturated pool — without
+// deadlock. parallel_run_chunks and parallel_run_tasks are thin shapes over
+// the core; parallel_for*, parallel_map_reduce, the CSV loaders and the
+// sweep engine are built on those two.
+//
+// Thread-safety: every function here is safe to call from any thread,
+// including pool workers. The *callbacks* handed to these drivers run
+// concurrently — they must synchronize any shared mutable state themselves.
 //
 // Determinism: the drivers fix only *which* chunks exist ([begin, end) split
 // by grain/thread-count) and, for parallel_map_reduce, the left-to-right
@@ -27,7 +30,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -48,14 +50,24 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
+  friend void parallel_run_chunks(
+      const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
+      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+  friend void parallel_run_tasks(std::vector<std::function<void()>> tasks);
 
  private:
+  /// The fork-join core: runs body(i) for every i in [0, n) on the caller
+  /// and up to thread_count() helpers, returns once all n have finished, and
+  /// then rethrows the exception of the lowest failing index, if any. With
+  /// n == 1 or a one-worker pool the caller runs everything inline.
+  void fork_join(std::size_t n, const std::function<void(std::size_t)>& body);
+  /// Fire-and-forget enqueue; only fork_join posts, and its helpers never
+  /// throw.
+  void post(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -67,7 +79,7 @@ ThreadPool& global_pool();
 
 /// Runs fn(i) for i in [begin, end) across the global pool and blocks until
 /// done. Chunks are contiguous; `grain` is the minimum chunk size. Exceptions
-/// from fn propagate to the caller (first one wins).
+/// from fn propagate to the caller (the lowest failing index wins).
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1024);
@@ -85,21 +97,17 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     std::size_t begin, std::size_t end, std::size_t max_chunks,
     std::size_t grain = 1);
 
-/// Runs fn(chunk_index, lo, hi) for each range on the global pool and blocks
-/// until done. A single chunk runs inline. Exceptions from fn propagate to
-/// the caller (first one wins).
+/// Runs fn(chunk_index, lo, hi) for each range on the global pool and the
+/// calling thread, and blocks until done. A single chunk runs inline. The
+/// lowest failing chunk's exception propagates after every chunk finished.
 void parallel_run_chunks(
     const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-/// Runs a set of heterogeneous tasks to completion, using pool workers *and*
-/// the calling thread, then blocks until every task finished. Unlike waiting
-/// on per-task futures, the caller drains the shared task list itself, so
-/// this is safe to call from inside a pool worker even when every other
-/// worker is blocked — the caller alone guarantees forward progress. Used by
-/// the VC-sharded simulator, whose shards are uneven and may themselves run
-/// under a parallel driver. The first exception propagates after all tasks
-/// have finished.
+/// Runs a set of heterogeneous tasks to completion on the global pool and
+/// the calling thread, and blocks until every task finished. Used where the
+/// work items are uneven (VC shards, sweep cells, forecaster fits). The
+/// lowest failing task's exception propagates after every task finished.
 void parallel_run_tasks(std::vector<std::function<void()>> tasks);
 
 /// Chunked map-reduce over [begin, end): `make(lo, hi)` produces one partial

@@ -24,8 +24,8 @@
 // Thread-safety: each forecaster is externally synchronized — fit() and
 // load_state() mutate; const forecast() calls may then run concurrently
 // from any number of threads. GBDTForecaster::fit() parallelizes
-// internally on the shared global_pool() (see ml/gbdt.h for its nesting
-// rule); the other models are single-threaded.
+// internally on the shared global_pool(); the other models are
+// single-threaded.
 #pragma once
 
 #include <cstdint>
@@ -204,10 +204,8 @@ struct BacktestResult {
     common::ExecMode execution = common::ExecMode::kParallel);
 
 /// Fit several forecasters to the same history concurrently on the shared
-/// pool (deadlock-safe even though GBDTForecaster::fit itself parallelizes
-/// — see common/thread_pool.h on parallel_run_tasks nesting). Each fit is
-/// independent and a pure function of (model, history), so the result is
-/// identical to fitting serially.
+/// pool. Each fit is independent and a pure function of (model, history),
+/// so the result is identical to fitting serially.
 void fit_forecasters(std::span<Forecaster* const> models,
                      const TimeSeries& history);
 

@@ -47,8 +47,8 @@
 // anything; the const members (predict, predict_many, accessors) are safe to
 // call concurrently from any number of threads once training/loading has
 // completed. fit() and predict_many() internally parallelize on the shared
-// global_pool(), so they must not be called from inside a pool task that
-// blocks on them (use parallel_run_tasks for such nesting).
+// global_pool(); like every pool driver they may be called from anywhere,
+// pool tasks included.
 #pragma once
 
 #include <cstdint>

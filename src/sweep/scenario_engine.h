@@ -11,8 +11,9 @@
 //             trace into a preassigned result slot. Cells fan out through
 //             parallel_run_tasks and each cell's simulator shards per VC
 //             through the same primitive, giving two-level (cell × VC)
-//             sharding; parallel_run_tasks lets the caller drain the task
-//             list itself, so the nesting cannot deadlock the pool.
+//             sharding. Trace generation and the simulator nest further
+//             pool drivers inside these tasks; any depth is safe (see
+//             common/thread_pool.h).
 //
 // Determinism: common::ExecMode::kParallel and kSerial produce bit-identical
 // SweepResults — cell slots are preassigned in expand() order, each cell's

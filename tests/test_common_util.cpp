@@ -5,8 +5,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory_resource>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/arena.h"
@@ -168,10 +171,59 @@ TEST(ThreadPool, PropagatesExceptions) {
         if (i == 57) throw std::runtime_error("boom");
       }, 1),
       std::runtime_error);
+  // With several failures the lowest chunk's error wins, at any width.
+  try {
+    parallel_for(0, 100, [](std::size_t i) {
+      if (i == 57 || i == 90) throw std::runtime_error(std::to_string(i));
+    }, 1);
+    FAIL() << "exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "57");
+  }
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   parallel_for(10, 10, [](std::size_t) { FAIL(); });
+}
+
+// More outer tasks than workers, each blocking on an inner parallel_for:
+// every worker ends up waiting inside a nested fork-join, so only callers
+// that drain their own work can finish. Before the single caller-draining
+// core this hung at widths 2 and 4.
+TEST(ThreadPool, NestedParallelForInsideSaturatedTasks) {
+  const std::size_t tasks_n = 2 * global_pool().thread_count() + 1;
+  constexpr std::size_t kInner = 4096;
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < tasks_n; ++t) {
+    tasks.emplace_back([&total] {
+      parallel_for(0, kInner, [&total](std::size_t i) { total += i; }, 16);
+    });
+  }
+  parallel_run_tasks(std::move(tasks));
+  EXPECT_EQ(total.load(), tasks_n * (kInner * (kInner - 1) / 2));
+}
+
+TEST(ThreadPool, NestedExceptionReachesOuterCaller) {
+  const std::size_t tasks_n = 2 * global_pool().thread_count() + 1;
+  std::atomic<std::size_t> inner_done{0};
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < tasks_n; ++t) {
+    tasks.emplace_back([&inner_done, t] {
+      parallel_for(0, 1024, [&inner_done, t](std::size_t i) {
+        if (t == 1 && i == 700) throw std::runtime_error("nested chunk");
+        ++inner_done;
+      }, 16);
+    });
+  }
+  try {
+    parallel_run_tasks(std::move(tasks));
+    FAIL() << "nested exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "nested chunk");
+  }
+  // The tasks that did not throw ran to completion before the rethrow.
+  EXPECT_GE(inner_done.load(), (tasks_n - 1) * 1024);
 }
 
 TEST(MonotonicArena, BumpAllocatesAndAligns) {
