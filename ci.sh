@@ -24,10 +24,12 @@
 #                      and every checkpoint is an exact prefix
 #   ./ci.sh threads    full build + the multi-worker paths at every pool
 #                      width in {1, 2, 3, 8} (HELIOS_THREADS): the smoke
-#                      suites (test_sweep among them), the default 6-cluster
-#                      sweep_matrix at scale 0.05, example_serve_replay and
-#                      ablation_power, each step under `timeout` so a
-#                      deadlock fails instead of hanging
+#                      suites (test_sweep and test_ces among them), the
+#                      default 6-cluster sweep_matrix at scale 0.05,
+#                      example_serve_replay, ablation_power and
+#                      table5_ces_perf (the CES tick barrier) at scale 0.05,
+#                      each step under `timeout` so a deadlock fails instead
+#                      of hanging
 #   ./ci.sh docs       no build: verify that docs/ARCHITECTURE.md and
 #                      docs/FORMATS.md only reference files and CMake
 #                      targets that still exist
@@ -209,6 +211,7 @@ if [ "$mode" = threads ]; then
     HELIOS_SWEEP_SCALE=0.05 timeout 300 build/sweep_matrix
     HELIOS_SERVE_SCALE=0.02 timeout 300 build/example_serve_replay
     HELIOS_POWER_SCALE=0.05 timeout 300 build/ablation_power
+    HELIOS_SCALE=0.05 timeout 300 build/table5_ces_perf
   done
   exit 0
 fi

@@ -11,15 +11,20 @@
 //    exceed their thresholds ξ_H/ξ_P, sleep idle nodes down to CR + σ.
 // The "vanilla DRS" baseline skips both trend conditions and sleeps whenever
 // idle nodes exist — the paper reports it wakes nodes ~34x/day vs 1.1-2.6x.
+// replay() runs DRS as a sim::PowerController inside sim::ClusterSimulator
+// (FIFO, greedy backfill over the whole queue) and reads every series and
+// counter from the simulator's segment accounting.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/framework.h"
 #include "core/power_model.h"
 #include "forecast/models.h"
-#include "sim/cluster_state.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 
 namespace helios::core {
@@ -44,7 +49,7 @@ struct CesResult {
   forecast::TimeSeries predicted_nodes;  ///< forecaster output per bucket
   int total_nodes = 0;
 
-  double avg_drs_nodes = 0.0;       ///< time-average sleeping nodes
+  double avg_drs_nodes = 0.0;       ///< time-average sleeping nodes in window
   double daily_wakeups = 0.0;       ///< NodesWakeUp events per day
   double avg_woken_per_wakeup = 0.0;
   std::int64_t wakeup_events = 0;
@@ -58,6 +63,47 @@ struct CesResult {
   double saved_kwh = 0.0;           ///< over the replay window, incl. cooling
   double annualized_kwh = 0.0;
   double forecast_smape = 0.0;      ///< predicted vs actual running nodes
+};
+
+/// Dynamic Resource Sleep as a sim::PowerController: one instance drives one
+/// ClusterSimulator run of `eval` (sorted by submit time) over [begin, end).
+class DrsController final : public sim::PowerController {
+ public:
+  /// `model` must be fitted; `history` seeds its lag buffer.
+  DrsController(const CesConfig& config, const forecast::Forecaster& model,
+                const trace::Trace& eval, forecast::TimeSeries history,
+                UnixTime begin, UnixTime end);
+
+  /// The CES replay's simulator configuration: FIFO with greedy backfill
+  /// over the whole queue, the CES series step, and this controller.
+  [[nodiscard]] sim::SimConfig sim_config();
+
+  /// The CES figures of `run`, the simulator run this controller drove —
+  /// every field but node_util_original, which needs the always-on run.
+  [[nodiscard]] CesResult summarize(const sim::SimResult& run) const;
+
+  void on_arrival(sim::VcSimulator& shard, const sim::JobOutcome& job,
+                  std::int64_t now) override;
+  void on_blocked_head(sim::VcSimulator& shard, const sim::JobOutcome& job,
+                       std::int64_t now) override;
+  void on_tick(std::span<const std::unique_ptr<sim::VcSimulator>> shards,
+               std::int64_t now) override;
+
+ private:
+  /// NodesWakeUp in `job`'s VC: R - CA + σ nodes for `gpus_short` GPUs.
+  void wake(sim::VcSimulator& shard, const sim::JobOutcome& job,
+            int gpus_short, std::int64_t now);
+
+  CesConfig config_;
+  const forecast::Forecaster* model_;
+  int gpus_per_node_;
+  int total_nodes_;
+  forecast::TimeSeries observed_;  ///< history + checks: the forecast lags
+  std::vector<double> predicted_;  ///< one-step forecast per check
+  std::vector<double> actual_;     ///< running nodes per check
+  std::vector<std::int64_t> wakeups_;  ///< per VC, written by its shard only
+  std::vector<std::int64_t> woken_;    ///< per VC, likewise
+  std::vector<char> affected_;  ///< per job: head of queue while nodes booted
 };
 
 class CesService final : public Service {
@@ -79,7 +125,8 @@ class CesService final : public Service {
   /// Replay `eval` (GPU jobs inside [begin, end), FIFO order) under
   /// Algorithm 2. `history` is the observed running-nodes series preceding
   /// `begin`; it seeds the forecaster's lags and keeps extending as the
-  /// replay observes new samples.
+  /// replay observes new samples. Late jobs drain past `end`, but every
+  /// figure covers [begin, end) only.
   [[nodiscard]] CesResult replay(const trace::Trace& eval,
                                  const forecast::TimeSeries& history,
                                  UnixTime begin, UnixTime end) const;
@@ -92,7 +139,6 @@ class CesService final : public Service {
  private:
   CesConfig config_;
   std::unique_ptr<forecast::Forecaster> model_;
-  forecast::TimeSeries fitted_history_;
 };
 
 }  // namespace helios::core

@@ -1,10 +1,10 @@
 // Bucketed time integral of a piecewise-constant function.
 //
-// Used for the simulator's busy-nodes / busy-GPUs output series, the CES
-// service's running/active-nodes series and the analysis layer's busy
-// GPU-seconds (analysis::busy_gpu_seconds, vc_behaviors): callers report
-// intervals of constant value via add(), and mean_series() / integrals() read
-// the result back as per-bucket means / per-bucket integrals.
+// Used for the simulator's busy-node / busy-GPU / powered-node output series
+// (which the CES service reads) and the analysis layer's busy GPU-seconds
+// (analysis::busy_gpu_seconds, vc_behaviors): callers report intervals of
+// constant value via add(), and mean_series() / integrals() read the result
+// back as per-bucket means / per-bucket integrals.
 //
 // add() is O(1) regardless of interval length: each interval contributes a
 // +value/-value pair to a difference array (slope_, covering whole buckets)

@@ -5,7 +5,6 @@
 namespace helios::sim {
 
 ClusterState::ClusterState(const trace::ClusterSpec& spec) {
-  vc_nodes_.resize(spec.vcs.size());
   index_.resize(spec.vcs.size());
   for (std::size_t vi = 0; vi < spec.vcs.size(); ++vi) {
     const auto& vc = spec.vcs[vi];
@@ -18,7 +17,6 @@ ClusterState::ClusterState(const trace::ClusterSpec& spec) {
       node.total_gpus = vc.gpus_per_node;
       node.free_gpus = vc.gpus_per_node;
       const int ni = static_cast<int>(nodes_.size());
-      vc_nodes_[vi].push_back(ni);
       ix.by_free[static_cast<std::size_t>(node.free_gpus)].insert(ni);
       ix.capacity += node.total_gpus;
       ix.sched_total += node.total_gpus;
@@ -126,23 +124,6 @@ void ClusterState::sleep_node(int ni) {
   ++sleeping_count_;
 }
 
-int ClusterState::sleep_idle_nodes(int count) {
-  int slept = 0;
-  // Idle active nodes are exactly the fully-free buckets; VCs hold
-  // contiguous ascending node-id ranges, so per-VC ascending order is global
-  // node order.
-  for (auto& ix : index_) {
-    if (ix.gpn == 0) continue;
-    auto& idle = ix.by_free[static_cast<std::size_t>(ix.gpn)];
-    while (slept < count && !idle.empty()) {
-      sleep_node(idle.front());
-      ++slept;
-    }
-    if (slept == count) break;
-  }
-  return slept;
-}
-
 int ClusterState::sleep_idle_nodes_in_vc(int vc, int count) {
   VcIndex& ix = index_[static_cast<std::size_t>(vc)];
   if (ix.gpn == 0) return 0;
@@ -170,18 +151,6 @@ void ClusterState::wake_node(int ni, std::int64_t now, std::int64_t boot_delay) 
   ix.booting.insert(ni);
   boot_queue_.emplace(n.boot_ready, ni);
   --sleeping_count_;
-}
-
-int ClusterState::wake_nodes(int count, std::int64_t now, std::int64_t boot_delay) {
-  int woken = 0;
-  for (auto& ix : index_) {
-    while (woken < count && !ix.sleeping.empty()) {
-      wake_node(ix.sleeping.front(), now, boot_delay);
-      ++woken;
-    }
-    if (woken == count) break;
-  }
-  return woken;
 }
 
 int ClusterState::wake_nodes_in_vc(int vc, int count, std::int64_t now,

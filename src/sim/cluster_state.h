@@ -48,9 +48,6 @@ struct Node {
   std::int64_t boot_ready = 0;
 
   [[nodiscard]] bool busy() const noexcept { return free_gpus < total_gpus; }
-  [[nodiscard]] bool schedulable() const noexcept {
-    return power == PowerState::kActive;
-  }
 };
 
 /// (node index, gpus) pairs with inline storage: single-node placements (the
@@ -125,13 +122,10 @@ class ClusterState {
   void reclaim(const Allocation& a);
 
   /// -- capacity queries (all O(1)) ---------------------------------------
-  [[nodiscard]] int vc_count() const noexcept { return static_cast<int>(vc_nodes_.size()); }
+  [[nodiscard]] int vc_count() const noexcept { return static_cast<int>(index_.size()); }
   [[nodiscard]] int node_count() const noexcept { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] const Node& node(int i) const noexcept {
     return nodes_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] const std::vector<int>& vc_node_indices(int vc) const noexcept {
-    return vc_nodes_[static_cast<std::size_t>(vc)];
   }
   /// Free GPUs on schedulable nodes of a VC.
   [[nodiscard]] int free_gpus(int vc) const noexcept {
@@ -175,17 +169,13 @@ class ClusterState {
   }
 
   /// -- power control (used by the CES service) ---------------------------
-  /// Put up to `count` idle active nodes of the cluster to sleep, in node
-  /// order. Returns how many slept.
-  int sleep_idle_nodes(int count);
-  /// Same, restricted to one VC.
+  /// Put up to `count` idle active nodes of `vc` to sleep, in node order.
+  /// Returns how many slept.
   int sleep_idle_nodes_in_vc(int vc, int count);
   /// Active nodes of `vc` with no allocations (candidates for DRS).
   [[nodiscard]] int idle_active_nodes_in_vc(int vc) const noexcept;
-  /// Begin waking up to `count` sleeping nodes (any VC); they become
+  /// Begin waking up to `count` sleeping nodes of `vc`; they become
   /// schedulable at now + boot_delay. Returns how many started booting.
-  int wake_nodes(int count, std::int64_t now, std::int64_t boot_delay);
-  /// Same, but restricted to one VC.
   int wake_nodes_in_vc(int vc, int count, std::int64_t now, std::int64_t boot_delay);
   /// Nodes of `vc` currently booting.
   [[nodiscard]] int booting_nodes_in_vc(int vc) const noexcept;
@@ -252,7 +242,6 @@ class ClusterState {
   void wake_node(int ni, std::int64_t now, std::int64_t boot_delay);
 
   std::vector<Node> nodes_;
-  std::vector<std::vector<int>> vc_nodes_;
   std::vector<VcIndex> index_;
   /// Booting nodes ordered by (boot_ready, node id): O(log n) next_boot_ready
   /// and finish_boots touches only completed boots.

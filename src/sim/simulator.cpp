@@ -95,32 +95,46 @@ SimResult ClusterSimulator::run(const Trace& t) const {
     result.outcomes.push_back(o);
   }
 
-  // One shard per VC with jobs; each owns its nodes, queue, and series
-  // accumulators, so shards share no mutable state and may run concurrently.
-  std::vector<VcSimulator> shards;
-  std::vector<std::size_t> shard_vc;
-  shards.reserve(n_vcs);
-  shard_vc.reserve(n_vcs);
-  for (std::size_t vi = 0; vi < n_vcs; ++vi) {
-    if (vc_arrivals[vi].empty()) continue;
-    shards.emplace_back(spec_, static_cast<int>(vi), config_, window_begin);
-    shard_vc.push_back(vi);
+  PowerController* const controller = config_.power_controller;
+  if (controller != nullptr) {
+    window_begin = controller->window_begin;
+    window_end = controller->window_end;
+    if (controller->tick_interval <= 0) {
+      throw std::invalid_argument("power controller tick interval must be positive");
+    }
   }
 
-  std::vector<VcSimulator::Counters> counters(shards.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    tasks.push_back([&, s] {
-      counters[s] =
-          shards[s].run(t, vc_arrivals[shard_vc[s]], result.outcomes);
-    });
+  // One shard per VC; each owns its nodes, queue, and series accumulators,
+  // so shards share no mutable state and may run concurrently. A VC without
+  // GPU jobs gets a shard too: its segments bill the idle baseline, and a
+  // power controller may sleep its nodes.
+  std::vector<std::unique_ptr<VcSimulator>> shards;
+  shards.reserve(n_vcs);
+  for (std::size_t vi = 0; vi < n_vcs; ++vi) {
+    shards.push_back(VcSimulator::create(spec_, static_cast<int>(vi), config_,
+                                         window_begin, t, vc_arrivals[vi],
+                                         result.outcomes));
   }
-  if (config_.execution == common::ExecMode::kSerial) {
-    for (auto& task : tasks) task();
-  } else {
-    parallel_run_tasks(std::move(tasks));
+  auto advance_all = [&](std::int64_t until) {
+    std::vector<std::function<void()>> tasks;
+    for (auto& shard : shards) {
+      if (shard->next_event() > until) continue;  // nothing due
+      tasks.push_back([&shard, until] { shard->advance(until); });
+    }
+    if (config_.execution == common::ExecMode::kSerial || tasks.size() <= 1) {
+      for (auto& task : tasks) task();
+    } else {
+      parallel_run_tasks(std::move(tasks));
+    }
+  };
+  if (controller != nullptr) {
+    for (std::int64_t tick = window_begin + controller->tick_interval;
+         tick < window_end; tick += controller->tick_interval) {
+      advance_all(tick);
+      controller->on_tick(shards, tick);
+    }
   }
+  advance_all(std::numeric_limits<std::int64_t>::max());
 
   // Deterministic merge in VC order. Every busy-segment term is an exact
   // integer product of a count and a duration (see BucketIntegrator), so the
@@ -128,12 +142,9 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   // may carry non-integer watts (gpu_watts_fn, cap shares), but this loop
   // runs serially in VC order under BOTH exec modes, so the accumulation
   // order — and with it every double — is identical for kSerial/kParallel.
-  std::vector<int> shard_of(n_vcs, -1);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    shard_of[shard_vc[s]] = static_cast<int>(s);
-  }
   BucketIntegrator nodes_acc(window_begin, window_end, config_.series_step);
   BucketIntegrator gpus_acc(window_begin, window_end, config_.series_step);
+  BucketIntegrator active_acc(window_begin, window_end, config_.series_step);
   BucketIntegrator power_acc(window_begin, window_end, config_.series_step);
   // (time, ±watts) boundaries of every clamped power interval, gathered in
   // VC order for the deterministic peak sweep below.
@@ -152,30 +163,28 @@ SimResult ClusterSimulator::run(const Trace& t) const {
     edges.push_back({t0, watts});
     edges.push_back({t1, -watts});
   };
+  // A controller's window is exact: nothing after window_end enters a
+  // series. Without one, the series run to the end of their last bucket.
+  const UnixTime series_end = controller != nullptr
+                                  ? window_end
+                                  : std::numeric_limits<UnixTime>::max();
   for (std::size_t vi = 0; vi < n_vcs; ++vi) {
-    if (shard_of[vi] < 0) {
-      // No GPU jobs -> no shard, but the VC's nodes still idle all window.
-      // (Fault events on a workload-free VC are skipped with the shard, so
-      // its baseline stays the all-active draw — consistent with the fault
-      // replay only existing where a shard runs.)
-      const auto& vcspec = spec_.vcs[vi];
-      bill(vi, window_begin, window_end,
-           config_.power_profile.baseline_watts(vcspec.nodes, 0, 0, 0));
-      continue;
-    }
-    const auto s = static_cast<std::size_t>(shard_of[vi]);
-    for (const BusySegment& seg : shards[s].segments()) {
-      nodes_acc.add(seg.t0, seg.t1, seg.nodes);
-      gpus_acc.add(seg.t0, seg.t1, seg.gpus);
+    const VcSimulator::Counters counters = shards[vi]->finish();
+    for (const BusySegment& seg : shards[vi]->segments()) {
+      const UnixTime t1 = std::min(seg.t1, series_end);
+      nodes_acc.add(seg.t0, t1, seg.nodes);
+      gpus_acc.add(seg.t0, t1, seg.gpus);
+      active_acc.add(seg.t0, t1, seg.active);
       bill(vi, seg.t0, seg.t1, seg.watts);
     }
-    result.preemptions += counters[s].preemptions;
-    result.rejected_jobs += counters[s].rejected;
-    result.job_kills += counters[s].kills;
-    result.node_failures += counters[s].failures;
+    result.preemptions += counters.preemptions;
+    result.rejected_jobs += counters.rejected;
+    result.job_kills += counters.kills;
+    result.node_failures += counters.failures;
   }
   result.busy_nodes = nodes_acc.mean_series();
   result.busy_gpus = gpus_acc.mean_series();
+  result.active_nodes = active_acc.mean_series();
   result.power_watts = power_acc.mean_series();
   for (std::size_t vi = 0; vi < n_vcs; ++vi) {
     result.energy_joules += vc_energy[vi];

@@ -1,8 +1,8 @@
 // Trace-driven discrete-event simulator of a multi-VC GPU cluster.
 //
 // Reproduces the evaluation methodology of §4.2.3: jobs flow through
-// arrival -> per-VC queue -> gang placement -> completion, with no backfill
-// and no cross-VC sharing. Six policies:
+// arrival -> per-VC queue -> gang placement -> completion, with no
+// cross-VC sharing (backfill is opt-in). Six policies:
 //   * kFifo — submission order (the paper's production baseline),
 //   * kSjf  — oracle shortest-job-first, non-preemptive,
 //   * kSrtf — oracle shortest-remaining-time-first with free preemption,
@@ -25,12 +25,16 @@
 // share of the cap; backfill under a cap is power-proportional: candidates
 // start only while the projected draw stays under the cap.
 //
+// A PowerController (SimConfig::power_controller) wakes and sleeps nodes
+// from inside the event loop; CES (core/ces_service.h) runs on it.
+//
 // Only GPU jobs are simulated; the paper does the same ("GPU resources are
 // the bottleneck in our clusters").
 #pragma once
 
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,6 +77,39 @@ using PriorityFn = std::function<double(const trace::JobRecord&)>;
 /// PriorityFn.
 using GpuWattsFn = std::function<double(const trace::JobRecord&)>;
 
+struct JobOutcome;
+class VcSimulator;
+
+/// Node-power controller run inside the event loop (CES's Dynamic Resource
+/// Sleep, core::DrsController). With one set, every series and the energy
+/// cover [window_begin, window_end), and the VC shards advance in lockstep:
+/// at each tick window_begin + k·tick_interval (k >= 1) before window_end,
+/// every shard processes its events at or before the tick, then on_tick runs
+/// serially. on_arrival and on_blocked_head run on the shard's worker,
+/// concurrently under common::ExecMode::kParallel, so they may touch only
+/// their shard and that VC's (or job's) data. Wakes and sleeps go through
+/// VcSimulator::wake_nodes/sleep_idle_nodes.
+class PowerController {
+ public:
+  PowerController(UnixTime begin, UnixTime end, std::int64_t interval)
+      : window_begin(begin), window_end(end), tick_interval(interval) {}
+  virtual ~PowerController() = default;
+
+  const UnixTime window_begin;
+  const UnixTime window_end;
+  const std::int64_t tick_interval;  ///< seconds; must be positive
+
+  /// `job` reached its VC's shard at `now` and is about to be queued.
+  virtual void on_arrival(VcSimulator& shard, const JobOutcome& job,
+                          std::int64_t now) = 0;
+  /// The queue head `job` cannot be placed at `now`.
+  virtual void on_blocked_head(VcSimulator& shard, const JobOutcome& job,
+                               std::int64_t now) = 0;
+  /// Serial tick barrier; shards[v] is VC v's shard.
+  virtual void on_tick(std::span<const std::unique_ptr<VcSimulator>> shards,
+                       std::int64_t now) = 0;
+};
+
 struct SimConfig {
   SchedulerPolicy policy = SchedulerPolicy::kFifo;
   PriorityFn priority_fn;  ///< required for kQssf, ignored otherwise
@@ -99,6 +136,9 @@ struct SimConfig {
   const FaultPlan* fault_plan = nullptr;
   /// Requeue semantics for jobs killed by a node failure.
   FaultRestart restart = FaultRestart::kRestart;
+  /// Optional node-power controller (CES's DRS). Not owned; must outlive the
+  /// run. nullptr = every node stays powered.
+  PowerController* power_controller = nullptr;
   /// Per-VC placement preference: node_order[vc][k] is the VC-local node
   /// index ranked k-th for allocation. Nodes within a VC are homogeneous, so
   /// the ranking only re-labels which physical node the consolidating
@@ -169,6 +209,9 @@ struct SimResult {
   std::vector<VCStat> vc_stats;          ///< by cluster-spec VC index
   forecast::TimeSeries busy_nodes;       ///< mean busy nodes per bucket
   forecast::TimeSeries busy_gpus;       ///< mean busy GPUs per bucket
+  /// Mean powered nodes (active or booting) per bucket; below the cluster's
+  /// node count only while a PowerController sleeps nodes or nodes fail.
+  forecast::TimeSeries active_nodes;
   /// -- energy accounting (SimConfig::power_profile / gpu_watts_fn) --------
   /// Cumulative cluster energy over the series window, joules. Exact sum of
   /// watts × seconds terms in VC order (integer-valued with the default
@@ -185,7 +228,8 @@ struct SimResult {
 /// non-shared, so the event loop is sharded per VC (see vc_simulator.h) and
 /// shards run concurrently under common::ExecMode::kParallel; outcomes,
 /// counters, and busy series merge deterministically, bit-identical to
-/// kSerial.
+/// kSerial. A PowerController adds tick barriers but keeps the contract: the
+/// shards are independent between ticks and every tick runs serially.
 class ClusterSimulator {
  public:
   ClusterSimulator(trace::ClusterSpec spec, SimConfig config);

@@ -321,232 +321,378 @@ trace::ClusterSpec single_vc_spec(const trace::ClusterSpec& spec, int vc) {
   return sub;
 }
 
-}  // namespace
-
-VcSimulator::VcSimulator(const trace::ClusterSpec& spec, int vc,
-                         const SimConfig& config, UnixTime window_begin)
-    : config_(&config),
-      window_begin_(window_begin),
-      state_(single_vc_spec(spec, vc)) {
-  if (config.power_cap_watts > 0.0) {
-    // Budget-constrained admission: VCs never talk to each other, so the
-    // cluster cap splits into capacity-proportional per-VC shares. The
-    // shares sum to the cap, so per-VC enforcement implies the cluster-wide
-    // bound.
-    std::int64_t total_gpus = 0;
-    for (const auto& v : spec.vcs) {
-      total_gpus += static_cast<std::int64_t>(v.nodes) * v.gpus_per_node;
-    }
-    const auto& vcspec = spec.vcs[static_cast<std::size_t>(vc)];
-    const auto vc_gpus =
-        static_cast<std::int64_t>(vcspec.nodes) * vcspec.gpus_per_node;
-    if (total_gpus > 0) {
-      cap_share_ = config.power_cap_watts * static_cast<double>(vc_gpus) /
-                   static_cast<double>(total_gpus);
-    }
-  }
-  if (config.fault_plan == nullptr) return;
-  const auto events = config.fault_plan->vc_events(vc);
-  if (events.empty()) return;
-  const int n_nodes = spec.vcs[static_cast<std::size_t>(vc)].nodes;
-  // internal_of[p]: shard node id of physical node p. Nodes within a VC are
-  // homogeneous, so SimConfig::node_order only re-labels ids — rank k maps
-  // to internal id k, which the consolidating allocator fills first. Fault
-  // events name physical nodes and are translated here once.
-  std::vector<std::int32_t> internal_of;
-  if (static_cast<std::size_t>(vc) < config.node_order.size()) {
-    const auto& order = config.node_order[static_cast<std::size_t>(vc)];
-    if (static_cast<int>(order.size()) == n_nodes) {
-      internal_of.assign(static_cast<std::size_t>(n_nodes), -1);
-      for (int k = 0; k < n_nodes; ++k) {
-        const std::int32_t p = order[static_cast<std::size_t>(k)];
-        if (p < 0 || p >= n_nodes || internal_of[static_cast<std::size_t>(p)] >= 0) {
-          internal_of.clear();  // not a permutation: fall back to id order
-          break;
-        }
-        internal_of[static_cast<std::size_t>(p)] = k;
+/// The one VcSimulator: the shard's state and its resumable event loop.
+class Shard final : public VcSimulator {
+ public:
+  Shard(const trace::ClusterSpec& spec, int vc, const SimConfig& config,
+        UnixTime window_begin, const Trace& t,
+        const std::vector<std::size_t>& arrivals,
+        std::vector<JobOutcome>& outcomes)
+      : state_(single_vc_spec(spec, vc)),
+        config_(&config),
+        trace_(&t),
+        arrivals_(&arrivals),
+        outcomes_(&outcomes),
+        n_(arrivals.size()),
+        srtf_(config.policy == SchedulerPolicy::kSrtf),
+        fifo_(config.policy == SchedulerPolicy::kFifo ||
+              config.policy == SchedulerPolicy::kPowerCap),
+        queue_(config.policy, config.backfill),
+        seg_start_(window_begin),
+        seg_active_(state_.active_nodes()),
+        seg_watts_(baseline_watts()) {
+    if (config.power_cap_watts > 0.0) {
+      // Budget-constrained admission: VCs never talk to each other, so the
+      // cluster cap splits into capacity-proportional per-VC shares. The
+      // shares sum to the cap, so per-VC enforcement implies the
+      // cluster-wide bound.
+      std::int64_t total_gpus = 0;
+      for (const auto& v : spec.vcs) {
+        total_gpus += static_cast<std::int64_t>(v.nodes) * v.gpus_per_node;
+      }
+      const auto& vcspec = spec.vcs[static_cast<std::size_t>(vc)];
+      const auto vc_gpus =
+          static_cast<std::int64_t>(vcspec.nodes) * vcspec.gpus_per_node;
+      if (total_gpus > 0) {
+        cap_share_ = config.power_cap_watts * static_cast<double>(vc_gpus) /
+                     static_cast<double>(total_gpus);
       }
     }
-  }
-  faults_.reserve(events.size());
-  for (const NodeFaultEvent& e : events) {
-    if (e.node < 0 || e.node >= n_nodes) continue;
-    NodeFaultEvent local = e;
-    if (!internal_of.empty()) {
-      local.node = internal_of[static_cast<std::size_t>(e.node)];
+    if (config.fault_plan == nullptr) return;
+    const auto events = config.fault_plan->vc_events(vc);
+    if (events.empty()) return;
+    const int n_nodes = spec.vcs[static_cast<std::size_t>(vc)].nodes;
+    // internal_of[p]: shard node id of physical node p. Nodes within a VC
+    // are homogeneous, so SimConfig::node_order only re-labels ids — rank k
+    // maps to internal id k, which the consolidating allocator fills first.
+    // Fault events name physical nodes and are translated here once.
+    std::vector<std::int32_t> internal_of;
+    if (static_cast<std::size_t>(vc) < config.node_order.size()) {
+      const auto& order = config.node_order[static_cast<std::size_t>(vc)];
+      if (static_cast<int>(order.size()) == n_nodes) {
+        internal_of.assign(static_cast<std::size_t>(n_nodes), -1);
+        for (int k = 0; k < n_nodes; ++k) {
+          const std::int32_t p = order[static_cast<std::size_t>(k)];
+          if (p < 0 || p >= n_nodes ||
+              internal_of[static_cast<std::size_t>(p)] >= 0) {
+            internal_of.clear();  // not a permutation: fall back to id order
+            break;
+          }
+          internal_of[static_cast<std::size_t>(p)] = k;
+        }
+      }
     }
-    faults_.push_back(local);
-  }
-}
-
-VcSimulator::Counters VcSimulator::run(const Trace& t,
-                                       const std::vector<std::size_t>& arrivals,
-                                       std::vector<JobOutcome>& outcomes) {
-  Counters counters;
-  const bool srtf = config_->policy == SchedulerPolicy::kSrtf;
-  // FIFO-order policies: arrivals behind a blocked head can never outrank it.
-  const bool fifo = config_->policy == SchedulerPolicy::kFifo ||
-                    config_->policy == SchedulerPolicy::kPowerCap;
-  const std::size_t n = arrivals.size();
-
-  // `per_gpu_watts` is the job's running draw per GPU; `base_priority` folds
-  // it into kEnergyQssf's predicted-energy ordering (predicted GPU time ×
-  // per-GPU watts = predicted joules).
-  auto per_gpu_watts = [&](const JobRecord& j) -> double {
-    return config_->gpu_watts_fn ? config_->gpu_watts_fn(j)
-                                 : config_->power_profile.gpu_watts;
-  };
-  auto base_priority = [&](const JobRecord& j, double gpu_watts) -> double {
-    switch (config_->policy) {
-      case SchedulerPolicy::kFifo:
-      case SchedulerPolicy::kPowerCap:
-        return 0.0;  // submit-time tie-break gives FIFO order
-      case SchedulerPolicy::kSjf:
-      case SchedulerPolicy::kSrtf:
-        return static_cast<double>(j.duration);
-      case SchedulerPolicy::kQssf:
-        return config_->priority_fn ? config_->priority_fn(j)
-                                    : static_cast<double>(j.duration) * j.num_gpus;
-      case SchedulerPolicy::kEnergyQssf:
-        return (config_->priority_fn
-                    ? config_->priority_fn(j)
-                    : static_cast<double>(j.duration) * j.num_gpus) *
-               gpu_watts;
+    faults_.reserve(events.size());
+    for (const NodeFaultEvent& e : events) {
+      if (e.node < 0 || e.node >= n_nodes) continue;
+      NodeFaultEvent local = e;
+      if (!internal_of.empty()) {
+        local.node = internal_of[static_cast<std::size_t>(e.node)];
+      }
+      faults_.push_back(local);
     }
-    return 0.0;
-  };
-
-  // Dense local copies of the fields the loop touches per event.
-  std::vector<LocalJob> jobs(n);
-  for (std::size_t lj = 0; lj < n; ++lj) {
-    const JobOutcome& o = outcomes[arrivals[lj]];
-    const JobRecord& j = t.jobs()[o.trace_index];
-    LocalJob& job = jobs[lj];
-    job.submit = o.submit;
-    job.total = std::max<std::int32_t>(1, j.duration);
-    job.remaining = job.total;
-    job.trace_index = o.trace_index;
-    job.gpus = o.gpus;
-    const double gw = per_gpu_watts(j);
-    job.watts = gw * j.num_gpus;
-    job.priority = base_priority(j, gw);
   }
-  std::vector<std::size_t> run_slot(n, SIZE_MAX);
 
-  PolicyQueue queue(config_->policy, config_->backfill);
-  queue.init(n);
-  // GPU demands of every queued job; min() lets a backfill pass bail out
-  // O(1) when nothing queued can possibly fit.
-  DemandTracker queued_gpus;
-  queued_gpus.init(state_.capacity_gpus(0));
-  std::vector<RunningJob> runs;
-  runs.reserve(n);  // at most one slot per job; growth would copy Allocations
-  std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
-      finishes(std::greater<>{}, [n] {
-        std::vector<FinishEvent> v;
-        v.reserve(n + 1);
-        return v;
-      }());
-  // Active-run list (swap-remove): SRTF preemption scans only live runs, not
-  // every slot ever created.
-  std::vector<std::size_t> active_slots;
-  std::vector<std::size_t> active_pos;  // per-slot position, SIZE_MAX if idle
-  active_pos.reserve(n);
+  void advance(std::int64_t until) override {
+    if (!started_) build_jobs();
+    PowerController* const controller = config_->power_controller;
+    for (;;) {
+      const std::int64_t now = next_event_time();
+      if (now == kNever && until == kNever) release_loop_state();
+      if (now == kNever || now > until) {
+        next_event_ = now;
+        return;
+      }
 
-  // Busy/power accounting: coalesce events that leave the busy counters and
-  // the VC draw unchanged into one segment; flushed whenever either moves.
-  // Power includes the idle node baseline, so unlike the pre-energy
-  // accounting the idle stretches produce segments too (the busy
-  // integrators ignore their zero counts).
-  run_watts_ = 0.0;
-  segments_.reserve(2 * n + 2);
-  std::int64_t seg_start = window_begin_;
-  std::int32_t seg_nodes = 0;
-  std::int32_t seg_gpus = 0;
-  double seg_watts = state_.baseline_watts(config_->power_profile);
-  auto flush_segment = [&](std::int64_t now) {
+      bool need_schedule = false;
+      // 1) completions at `now` (before placements: free before place).
+      while (!finishes_.empty() && finishes_.top().time <= now) {
+        const FinishEvent f = finishes_.top();
+        finishes_.pop();
+        RunningJob& r = runs_[f.slot];
+        if (!r.active || r.generation != f.generation) continue;
+        r.active = false;
+        ++r.generation;
+        deactivate(f.slot);
+        state_.release(r.alloc);
+        run_watts_ -= r.watts;
+        outcome(r.local).end = now;
+        need_schedule = true;  // freed GPUs invalidate the blocked-head memo
+      }
+      // 1b) boot completions make woken nodes schedulable.
+      const auto boot = state_.next_boot_ready();
+      if (boot && *boot <= now) {
+        state_.finish_boots(now);
+        need_schedule = true;
+      }
+      // 1c) node failures / recoveries at `now`. Recoveries sort before
+      // failures at equal times (fault_plan.cpp), so a node that flaps in
+      // the same second ends the second down. Killed jobs requeue before the
+      // scheduling pass and compete under the policy's normal order.
+      while (next_fault_ < faults_.size() && faults_[next_fault_].time <= now) {
+        const NodeFaultEvent ev = faults_[next_fault_];
+        ++next_fault_;
+        if (ev.recovery) {
+          state_.recover_node(ev.node);
+        } else {
+          kill_runs_on_node(ev.node, now);
+          state_.fail_node(ev.node);
+          ++counters_.failures;
+        }
+        need_schedule = true;
+      }
+      // 2) arrivals at `now`; the controller sees each before it is queued.
+      while (next_arrival_ < n_ && jobs_[next_arrival_].submit <= now) {
+        const std::size_t lj = next_arrival_;
+        ++next_arrival_;
+        if (controller != nullptr) controller->on_arrival(*this, outcome(lj), now);
+        enqueue(lj);
+        if (!need_schedule && head_blocked_) {
+          // Queue growth behind a blocked head: schedule only if this job
+          // outranks the head (FIFO arrivals never do) or backfill could
+          // place it on the leftover GPUs.
+          const bool outranks = !fifo_ && queue_.before(lj, blocked_local_);
+          const bool backfillable =
+              config_->backfill && jobs_[lj].gpus <= state_.free_gpus(0);
+          if (outranks || backfillable) need_schedule = true;
+        } else {
+          need_schedule = true;
+        }
+      }
+      // 3) scheduling pass, then extend or flush the busy segment.
+      if (need_schedule) schedule(now);
+      flush_segment(now);
+    }
+  }
+
+  // Close the trailing segment: it runs to the sentinel, and the
+  // orchestrator clamps it to the series window.
+  Counters finish() override {
+    segments_.push_back(
+        {seg_start_, kNever, seg_nodes_, seg_gpus_, seg_active_, seg_watts_});
+    return counters_;
+  }
+
+  [[nodiscard]] const std::vector<BusySegment>& segments() const noexcept override {
+    return segments_;
+  }
+  [[nodiscard]] const ClusterState& state() const noexcept override {
+    return state_;
+  }
+  [[nodiscard]] std::int64_t next_event() const noexcept override {
+    return next_event_;
+  }
+  int wake_nodes(int count, std::int64_t now, std::int64_t boot_delay) override {
+    const int woken = state_.wake_nodes_in_vc(0, count, now, boot_delay);
+    if (woken > 0) next_event_ = std::min(next_event_, now + boot_delay);
+    return power_transition(woken, now);
+  }
+  int sleep_idle_nodes(int count, std::int64_t now) override {
+    return power_transition(state_.sleep_idle_nodes_in_vc(0, count), now);
+  }
+
+ private:
+  static constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+  [[nodiscard]] JobOutcome& outcome(std::size_t lj) {
+    return (*outcomes_)[(*arrivals_)[lj]];
+  }
+  [[nodiscard]] double baseline_watts() const noexcept {
+    return state_.baseline_watts(config_->power_profile);
+  }
+  // Nothing can happen any more: free the per-job loop state before the
+  // orchestrator merges, so shards that finish early return their memory to
+  // the ones still running (only the segments and counters are read later).
+  void release_loop_state() {
+    jobs_ = decltype(jobs_)();
+    run_slot_ = decltype(run_slot_)();
+    runs_ = decltype(runs_)();
+    finishes_ = decltype(finishes_)();
+    active_slots_ = decltype(active_slots_)();
+    active_pos_ = decltype(active_pos_)();
+    queue_ = PolicyQueue(config_->policy, config_->backfill);
+    queued_gpus_ = DemandTracker();
+  }
+
+  // A power transition clears the blocked-head memo and splits the segment.
+  int power_transition(int nodes, std::int64_t now) {
+    if (nodes > 0) {
+      head_blocked_ = false;
+      flush_segment(now);
+    }
+    return nodes;
+  }
+
+  // Dense local copies of the fields the loop touches per event, built on
+  // the first advance so priority_fn / gpu_watts_fn run on the shard's
+  // worker. `per_gpu_watts` is the job's running draw per GPU;
+  // `base_priority` folds it into kEnergyQssf's predicted-energy ordering
+  // (predicted GPU time × per-GPU watts = predicted joules).
+  void build_jobs() {
+    started_ = true;
+    auto per_gpu_watts = [&](const JobRecord& j) -> double {
+      return config_->gpu_watts_fn ? config_->gpu_watts_fn(j)
+                                   : config_->power_profile.gpu_watts;
+    };
+    auto base_priority = [&](const JobRecord& j, double gpu_watts) -> double {
+      switch (config_->policy) {
+        case SchedulerPolicy::kFifo:
+        case SchedulerPolicy::kPowerCap:
+          return 0.0;  // submit-time tie-break gives FIFO order
+        case SchedulerPolicy::kSjf:
+        case SchedulerPolicy::kSrtf:
+          return static_cast<double>(j.duration);
+        case SchedulerPolicy::kQssf:
+        case SchedulerPolicy::kEnergyQssf: {
+          const double gpu_time = config_->priority_fn
+                                      ? config_->priority_fn(j)
+                                      : static_cast<double>(j.duration) * j.num_gpus;
+          return config_->policy == SchedulerPolicy::kQssf ? gpu_time
+                                                           : gpu_time * gpu_watts;
+        }
+      }
+      return 0.0;
+    };
+    jobs_.resize(n_);
+    for (std::size_t lj = 0; lj < n_; ++lj) {
+      const JobOutcome& o = outcome(lj);
+      const JobRecord& j = trace_->jobs()[o.trace_index];
+      LocalJob& job = jobs_[lj];
+      job.submit = o.submit;
+      job.total = std::max<std::int32_t>(1, j.duration);
+      job.remaining = job.total;
+      job.trace_index = o.trace_index;
+      job.gpus = o.gpus;
+      const double gw = per_gpu_watts(j);
+      job.watts = gw * j.num_gpus;
+      job.priority = base_priority(j, gw);
+    }
+    run_slot_.assign(n_, SIZE_MAX);
+    queue_.init(n_);
+    queued_gpus_.init(state_.capacity_gpus(0));
+    runs_.reserve(n_);  // one slot per job at most; growth would copy Allocations
+    std::vector<FinishEvent> heap;
+    heap.reserve(n_ + 1);
+    finishes_ = decltype(finishes_)(std::greater<>{}, std::move(heap));
+    active_pos_.reserve(n_);
+    segments_.reserve(2 * n_ + 2);
+  }
+
+  // Fault events keep the loop alive only while jobs are queued: a recovery
+  // may be the event that unblocks them. With nothing queued and nothing
+  // running, remaining fault events cannot affect any outcome or busy count,
+  // so they are skipped (deterministically) and the queued jobs that never
+  // ran surface as SimResult::unfinished_jobs. Pending boots keep it alive.
+  [[nodiscard]] std::int64_t next_event_time() {
+    const auto boot = state_.next_boot_ready();
+    if (!(next_arrival_ < n_ || !finishes_.empty() || boot ||
+          (next_fault_ < faults_.size() && !queue_.empty()))) {
+      return kNever;
+    }
+    // Drain stale finish events.
+    while (!finishes_.empty()) {
+      const FinishEvent& f = finishes_.top();
+      if (runs_[f.slot].active && runs_[f.slot].generation == f.generation) break;
+      finishes_.pop();
+    }
+    std::int64_t t = boot ? *boot : kNever;
+    if (next_arrival_ < n_) t = std::min(t, jobs_[next_arrival_].submit);
+    if (!finishes_.empty()) t = std::min(t, finishes_.top().time);
+    if (next_fault_ < faults_.size()) t = std::min(t, faults_[next_fault_].time);
+    return t;
+  }
+
+  // Busy/power accounting: coalesce events that leave the busy counters, the
+  // powered nodes and the VC draw unchanged into one segment; flushed
+  // whenever any of them moves. Power includes the idle node baseline, so
+  // idle stretches produce segments too (the busy integrators ignore their
+  // zero counts; all-zero segments add nothing anywhere). A second flush at
+  // the same instant only updates the open segment's values.
+  void flush_segment(std::int64_t now) {
     const auto bn = static_cast<std::int32_t>(state_.busy_nodes());
     const auto bg = static_cast<std::int32_t>(state_.busy_gpus());
-    const double bw =
-        state_.baseline_watts(config_->power_profile) + run_watts_;
-    if (bn == seg_nodes && bg == seg_gpus && bw == seg_watts) return;
-    if (now > seg_start &&
-        (seg_nodes != 0 || seg_gpus != 0 || seg_watts != 0.0)) {
-      segments_.push_back({seg_start, now, seg_nodes, seg_gpus, seg_watts});
+    const auto ba = static_cast<std::int32_t>(state_.active_nodes());
+    const double bw = baseline_watts() + run_watts_;
+    if (bn == seg_nodes_ && bg == seg_gpus_ && ba == seg_active_ &&
+        bw == seg_watts_) {
+      return;
     }
-    seg_start = now;
-    seg_nodes = bn;
-    seg_gpus = bg;
-    seg_watts = bw;
-  };
+    if (now > seg_start_) {
+      segments_.push_back(
+          {seg_start_, now, seg_nodes_, seg_gpus_, seg_active_, seg_watts_});
+    }
+    seg_start_ = now;
+    seg_nodes_ = bn;
+    seg_gpus_ = bg;
+    seg_active_ = ba;
+    seg_watts_ = bw;
+  }
 
   // Budget-constrained admission: may the projected VC draw grow by
-  // `extra_watts` without crossing this VC's share of the cluster cap?
-  // Power changes only on starts, completions, kills, and node power-state
+  // `extra_watts` without crossing this VC's share of the cluster cap? Power
+  // changes only on starts, completions, kills, and node power-state
   // transitions — the exact events that already invalidate the blocked-head
   // memo, so the memo argument is unchanged by this gate.
-  auto power_allows = [&](double extra_watts) -> bool {
+  [[nodiscard]] bool power_allows(double extra_watts) const {
     if (cap_share_ <= 0.0) return true;
-    return state_.baseline_watts(config_->power_profile) + run_watts_ +
-               extra_watts <=
-           cap_share_;
-  };
+    return baseline_watts() + run_watts_ + extra_watts <= cap_share_;
+  }
 
-  auto deactivate = [&](std::size_t slot) {
-    const std::size_t pos = active_pos[slot];
-    const std::size_t back = active_slots.back();
-    active_slots[pos] = back;
-    active_pos[back] = pos;
-    active_slots.pop_back();
-    active_pos[slot] = SIZE_MAX;
-  };
+  void deactivate(std::size_t slot) {
+    const std::size_t pos = active_pos_[slot];
+    const std::size_t back = active_slots_.back();
+    active_slots_[pos] = back;
+    active_pos_[back] = pos;
+    active_slots_.pop_back();
+    active_pos_[slot] = SIZE_MAX;
+  }
 
-  auto enqueue = [&](std::size_t lj) {
-    const LocalJob& job = jobs[lj];
-    queue.push({job.priority, job.submit, lj});
-    queued_gpus.insert(job.gpus);
-  };
-  auto dequeue = [&](std::size_t lj) {
-    queue.remove(lj);
-    queued_gpus.erase(jobs[lj].gpus);
-  };
+  void enqueue(std::size_t lj) {
+    const LocalJob& job = jobs_[lj];
+    queue_.push({job.priority, job.submit, lj});
+    queued_gpus_.insert(job.gpus);
+  }
+  void dequeue(std::size_t lj) {
+    queue_.remove(lj);
+    queued_gpus_.erase(jobs_[lj].gpus);
+  }
 
-  auto start_job = [&](std::size_t lj, Allocation alloc, std::int64_t now) {
-    JobOutcome& o = outcomes[arrivals[lj]];
+  void start_job(std::size_t lj, Allocation alloc, std::int64_t now) {
+    JobOutcome& o = outcome(lj);
     if (o.start == trace::kNeverStarted) o.start = now;
     RunningJob r;
     r.local = lj;
     r.alloc = std::move(alloc);
     r.run_start = now;
-    r.remaining = jobs[lj].remaining;
-    r.watts = jobs[lj].watts;
+    r.remaining = jobs_[lj].remaining;
+    r.watts = jobs_[lj].watts;
     run_watts_ += r.watts;
     r.active = true;
     std::size_t slot;
-    if (run_slot[lj] != SIZE_MAX && !runs[run_slot[lj]].active) {
-      slot = run_slot[lj];
-      r.generation = runs[slot].generation + 1;
-      runs[slot] = std::move(r);
+    if (run_slot_[lj] != SIZE_MAX && !runs_[run_slot_[lj]].active) {
+      slot = run_slot_[lj];
+      r.generation = runs_[slot].generation + 1;
+      runs_[slot] = std::move(r);
     } else {
-      slot = runs.size();
-      runs.push_back(std::move(r));
-      active_pos.push_back(SIZE_MAX);
+      slot = runs_.size();
+      runs_.push_back(std::move(r));
+      active_pos_.push_back(SIZE_MAX);
     }
-    run_slot[lj] = slot;
-    active_pos[slot] = active_slots.size();
-    active_slots.push_back(slot);
-    finishes.push({now + runs[slot].remaining, slot, runs[slot].generation});
-  };
+    run_slot_[lj] = slot;
+    active_pos_[slot] = active_slots_.size();
+    active_slots_.push_back(slot);
+    finishes_.push({now + runs_[slot].remaining, slot, runs_[slot].generation});
+  }
 
   // Kill every active run holding GPUs on a failing node: the whole gang
   // releases (all-or-nothing placement dies with any of its nodes) and the
   // job requeues under the configured restart semantics. Victims are killed
   // in ascending slot order — a fixed order, so sharded and serial replays
   // enqueue requeued jobs identically.
-  auto kill_runs_on_node = [&](int node, std::int64_t now) {
+  void kill_runs_on_node(int node, std::int64_t now) {
     std::vector<std::size_t> victims;
-    for (std::size_t s : active_slots) {
-      for (auto [ni, g] : runs[s].alloc.node_gpus) {
+    for (std::size_t s : active_slots_) {
+      for (auto [ni, g] : runs_[s].alloc.node_gpus) {
         if (ni == node) {
           victims.push_back(s);
           break;
@@ -555,49 +701,38 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
     }
     std::sort(victims.begin(), victims.end());
     for (std::size_t s : victims) {
-      RunningJob& r = runs[s];
+      RunningJob& r = runs_[s];
       r.active = false;
       ++r.generation;  // invalidates the pending finish event
       deactivate(s);
       state_.release(r.alloc);
       run_watts_ -= r.watts;
       const std::size_t plj = r.local;
-      jobs[plj].remaining =
+      jobs_[plj].remaining =
           config_->restart == FaultRestart::kResume
               ? std::max<std::int64_t>(1, r.remaining - (now - r.run_start))
-              : jobs[plj].total;
-      if (srtf) jobs[plj].priority = static_cast<double>(jobs[plj].remaining);
+              : jobs_[plj].total;
+      if (srtf_) jobs_[plj].priority = static_cast<double>(jobs_[plj].remaining);
       enqueue(plj);
-      ++counters.kills;
-      ++outcomes[arrivals[plj]].kills;
+      ++counters_.kills;
+      ++outcome(plj).kills;
     }
-  };
-
-  // Blocked-head memo: after a scheduling pass ends with an unplaceable
-  // head, re-running it is provably a no-op until either the state changes
-  // (a completion, preemption, or start frees/claims GPUs) or a new job
-  // outranks the blocked head. Arrivals that merely grow the queue behind a
-  // blocked head skip the pass entirely — under FIFO that is every arrival
-  // while the head waits. (For SRTF, note remaining times of running jobs
-  // only shrink as time advances, so the preemptable set never grows while
-  // the state is untouched; a retry cannot succeed where the original
-  // attempt failed.)
-  bool head_blocked = false;
-  std::size_t blocked_local = 0;
+  }
 
   // Schedules the VC at time `now`: strict head-of-line by priority
-  // (Algorithm 1: stop at the first job that does not fit; no backfill).
-  auto schedule = [&](std::int64_t now) {
-    head_blocked = false;
-    while (!queue.empty()) {
-      const std::size_t lj = queue.head();
-      const LocalJob& job = jobs[lj];
+  // (Algorithm 1: stop at the first job that does not fit), plus greedy
+  // backfill when configured.
+  void schedule(std::int64_t now) {
+    head_blocked_ = false;
+    while (!queue_.empty()) {
+      const std::size_t lj = queue_.head();
+      const LocalJob& job = jobs_[lj];
       if (!state_.can_ever_fit(0, job.gpus)) {
-        JobOutcome& o = outcomes[arrivals[lj]];
+        JobOutcome& o = outcome(lj);
         o.rejected = true;
         o.start = o.submit;
         o.end = o.submit;
-        ++counters.rejected;
+        ++counters_.rejected;
         dequeue(lj);
         continue;
       }
@@ -609,176 +744,152 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
       const bool power_ok = power_allows(job.watts);
       auto alloc =
           power_ok ? state_.try_allocate(0, job.gpus) : std::optional<Allocation>{};
-      if (!alloc && srtf && power_ok) {
+      if (!alloc && srtf_ && power_ok) {
         // Preempt running jobs with strictly larger remaining time, largest
         // first, until the head fits; roll back if it never does.
         const std::int64_t head_rem = job.remaining;
         std::vector<std::size_t> candidates;
-        for (std::size_t s : active_slots) {
-          const std::int64_t rem =
-              runs[s].remaining - (now - runs[s].run_start);
+        for (std::size_t s : active_slots_) {
+          const std::int64_t rem = runs_[s].remaining - (now - runs_[s].run_start);
           if (rem > head_rem) candidates.push_back(s);
         }
         std::sort(candidates.begin(), candidates.end(),
                   [&](std::size_t a, std::size_t b) {
-                    const std::int64_t ra = runs[a].remaining - (now - runs[a].run_start);
-                    const std::int64_t rb = runs[b].remaining - (now - runs[b].run_start);
+                    const std::int64_t ra = runs_[a].remaining - (now - runs_[a].run_start);
+                    const std::int64_t rb = runs_[b].remaining - (now - runs_[b].run_start);
                     if (ra != rb) return ra > rb;
                     return a < b;  // deterministic tie-break
                   });
         std::vector<std::size_t> freed;
         for (std::size_t s : candidates) {
-          state_.release(runs[s].alloc);
+          state_.release(runs_[s].alloc);
           freed.push_back(s);
           alloc = state_.try_allocate(0, job.gpus);
           if (alloc) break;
         }
         if (alloc) {
           for (std::size_t s : freed) {
-            RunningJob& r = runs[s];
+            RunningJob& r = runs_[s];
             r.active = false;
             ++r.generation;  // invalidates the pending finish event
             deactivate(s);
             run_watts_ -= r.watts;
             const std::size_t plj = r.local;
-            jobs[plj].remaining =
+            jobs_[plj].remaining =
                 std::max<std::int64_t>(1, r.remaining - (now - r.run_start));
-            jobs[plj].priority = static_cast<double>(jobs[plj].remaining);
+            jobs_[plj].priority = static_cast<double>(jobs_[plj].remaining);
             enqueue(plj);
-            ++counters.preemptions;
+            ++counters_.preemptions;
           }
         } else {
           for (auto it = freed.rbegin(); it != freed.rend(); ++it) {
-            state_.reclaim(runs[*it].alloc);
+            state_.reclaim(runs_[*it].alloc);
           }
         }
       }
       if (!alloc) {
-        if (config_->backfill && !queued_gpus.empty() &&
-            queued_gpus.min() <= state_.free_gpus(0)) {
+        if (config_->power_controller != nullptr) {
+          config_->power_controller->on_blocked_head(*this, outcome(lj), now);
+        }
+        if (config_->backfill && !queued_gpus_.empty() &&
+            queued_gpus_.min() <= state_.free_gpus(0)) {
           // Greedy backfill: start any later queued job that fits right now.
           int scanned = 0;
-          queue.scan_behind_head([&](std::size_t blj) {
+          queue_.scan_behind_head([&](std::size_t blj) {
             if (scanned >= config_->backfill_depth) return false;
             ++scanned;
             // Power-proportional backfill: candidates start only while the
             // projected draw stays under the cap; over-budget candidates are
             // skipped, not blocking the ones behind them.
-            if (!power_allows(jobs[blj].watts)) return true;
-            auto balloc = state_.try_allocate(0, jobs[blj].gpus);
+            if (!power_allows(jobs_[blj].watts)) return true;
+            auto balloc = state_.try_allocate(0, jobs_[blj].gpus);
             if (balloc) {
               start_job(blj, std::move(*balloc), now);
               dequeue(blj);
               // Placements shrink the free pool; bail once nothing left fits.
-              if (queued_gpus.empty() ||
-                  queued_gpus.min() > state_.free_gpus(0)) {
+              if (queued_gpus_.empty() ||
+                  queued_gpus_.min() > state_.free_gpus(0)) {
                 return false;
               }
             }
             return true;
           });
         }
-        head_blocked = true;
-        blocked_local = lj;
+        head_blocked_ = true;
+        blocked_local_ = lj;
         break;
       }
       dequeue(lj);
       start_job(lj, std::move(*alloc), now);
     }
-  };
-
-  std::size_t next_arrival = 0;
-  std::size_t next_fault = 0;
-  const std::size_t n_faults = faults_.size();
-  // Fault events keep the loop alive only while jobs are queued: a recovery
-  // may be the event that unblocks them. With nothing queued and nothing
-  // running, remaining fault events cannot affect any outcome or busy count,
-  // so they are skipped (deterministically) and the queued jobs that never
-  // ran surface as SimResult::unfinished_jobs.
-  while (next_arrival < n || !finishes.empty() ||
-         (next_fault < n_faults && !queue.empty())) {
-    // Next event time: finishes first at equal times (free before place).
-    const std::int64_t arrival_time =
-        next_arrival < n ? jobs[next_arrival].submit
-                         : std::numeric_limits<std::int64_t>::max();
-    // Drain stale finish events.
-    while (!finishes.empty()) {
-      const FinishEvent& f = finishes.top();
-      if (runs[f.slot].active && runs[f.slot].generation == f.generation) break;
-      finishes.pop();
-    }
-    const std::int64_t finish_time =
-        finishes.empty() ? std::numeric_limits<std::int64_t>::max()
-                         : finishes.top().time;
-    const std::int64_t fault_time =
-        next_fault < n_faults ? faults_[next_fault].time
-                              : std::numeric_limits<std::int64_t>::max();
-    const std::int64_t now =
-        std::min(std::min(arrival_time, finish_time), fault_time);
-    if (now == std::numeric_limits<std::int64_t>::max()) break;
-
-    bool need_schedule = false;
-    // 1) completions at `now`.
-    while (!finishes.empty() && finishes.top().time <= now) {
-      const FinishEvent f = finishes.top();
-      finishes.pop();
-      RunningJob& r = runs[f.slot];
-      if (!r.active || r.generation != f.generation) continue;
-      r.active = false;
-      ++r.generation;
-      deactivate(f.slot);
-      state_.release(r.alloc);
-      run_watts_ -= r.watts;
-      outcomes[arrivals[r.local]].end = now;
-      need_schedule = true;  // freed GPUs invalidate the blocked-head memo
-    }
-    // 1b) node failures / recoveries at `now`. Recoveries sort before
-    // failures at equal times (fault_plan.cpp), so a node that flaps in the
-    // same second ends the second down. Killed jobs requeue before the
-    // scheduling pass and compete under the policy's normal order.
-    while (next_fault < n_faults && faults_[next_fault].time <= now) {
-      const NodeFaultEvent ev = faults_[next_fault];
-      ++next_fault;
-      if (ev.recovery) {
-        state_.recover_node(ev.node);
-      } else {
-        kill_runs_on_node(ev.node, now);
-        state_.fail_node(ev.node);
-        ++counters.failures;
-      }
-      need_schedule = true;
-    }
-    // 2) arrivals at `now`.
-    while (next_arrival < n && jobs[next_arrival].submit <= now) {
-      const std::size_t lj = next_arrival;
-      ++next_arrival;
-      enqueue(lj);
-      if (!need_schedule && head_blocked) {
-        // Queue growth behind a blocked head: schedule only if this job
-        // outranks the head (FIFO arrivals never do) or backfill could
-        // place it on the leftover GPUs.
-        const bool outranks = !fifo && queue.before(lj, blocked_local);
-        const bool backfillable =
-            config_->backfill && jobs[lj].gpus <= state_.free_gpus(0);
-        if (outranks || backfillable) need_schedule = true;
-      } else {
-        need_schedule = true;
-      }
-    }
-    // 3) scheduling pass, then extend or flush the busy segment.
-    if (need_schedule) schedule(now);
-    flush_segment(now);
   }
-  // Close the trailing segment. Busy counts are zero once every started job
-  // has finished, but the idle baseline keeps drawing, so the tail almost
-  // always carries watts: it runs to the sentinel and the orchestrator's
-  // integrator clamps it to the series window.
-  if (seg_nodes != 0 || seg_gpus != 0 || seg_watts != 0.0) {
-    segments_.push_back(
-        {seg_start, std::numeric_limits<std::int64_t>::max(), seg_nodes,
-         seg_gpus, seg_watts});
-  }
-  return counters;
+
+  ClusterState state_;
+  std::vector<BusySegment> segments_;
+  const SimConfig* config_;
+  const Trace* trace_;
+  const std::vector<std::size_t>* arrivals_;
+  std::vector<JobOutcome>* outcomes_;
+  const std::size_t n_;
+  const bool srtf_;
+  const bool fifo_;  ///< FIFO order: arrivals never outrank a blocked head
+  /// This VC's capacity-proportional share of SimConfig::power_cap_watts;
+  /// <= 0 when admission is uncapped.
+  double cap_share_ = 0.0;
+  /// This VC's fault events, time-sorted, with `node` already translated to
+  /// the shard's internal node ids (the node_order permutation).
+  std::vector<NodeFaultEvent> faults_;
+  bool started_ = false;
+  Counters counters_;
+
+  std::vector<LocalJob> jobs_;
+  std::vector<std::size_t> run_slot_;
+  PolicyQueue queue_;
+  /// GPU demands of every queued job; min() lets a backfill pass bail out
+  /// O(1) when nothing queued can possibly fit.
+  DemandTracker queued_gpus_;
+  std::vector<RunningJob> runs_;
+  std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
+      finishes_;
+  /// Active-run list (swap-remove): SRTF preemption scans only live runs,
+  /// not every slot ever created.
+  std::vector<std::size_t> active_slots_;
+  std::vector<std::size_t> active_pos_;  ///< per slot, SIZE_MAX if idle
+  double run_watts_ = 0.0;  ///< per-GPU draws of the active runs, summed
+
+  /// The open busy segment: values since seg_start_.
+  std::int64_t seg_start_;
+  std::int32_t seg_nodes_ = 0;
+  std::int32_t seg_gpus_ = 0;
+  std::int32_t seg_active_;
+  double seg_watts_;
+
+  /// Blocked-head memo: after a scheduling pass ends with an unplaceable
+  /// head, re-running it is provably a no-op until either the state changes
+  /// (a completion, preemption, start, or power transition) or a new job
+  /// outranks the blocked head. Arrivals that merely grow the queue behind a
+  /// blocked head skip the pass entirely — under FIFO that is every arrival
+  /// while the head waits. (For SRTF, remaining times of running jobs only
+  /// shrink as time advances, so the preemptable set never grows while the
+  /// state is untouched. A PowerController's blocked-head hook reads only
+  /// the power state, which no skipped pass can have seen change.)
+  bool head_blocked_ = false;
+  std::size_t blocked_local_ = 0;
+  std::size_t next_arrival_ = 0;
+  std::size_t next_fault_ = 0;
+  /// Earliest pending event as of the last advance() (or wake); the first
+  /// advance must run, so it starts at the minimum.
+  std::int64_t next_event_ = std::numeric_limits<std::int64_t>::min();
+};
+
+}  // namespace
+
+std::unique_ptr<VcSimulator> VcSimulator::create(
+    const trace::ClusterSpec& spec, int vc, const SimConfig& config,
+    UnixTime window_begin, const Trace& t,
+    const std::vector<std::size_t>& arrivals, std::vector<JobOutcome>& outcomes) {
+  return std::make_unique<Shard>(spec, vc, config, window_begin, t, arrivals,
+                                 outcomes);
 }
 
 }  // namespace helios::sim

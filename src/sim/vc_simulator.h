@@ -1,4 +1,4 @@
-// Single-VC discrete-event scheduling loop, extracted from ClusterSimulator.
+// Single-VC discrete-event scheduling loop: the simulator's one event loop.
 //
 // VCs are dedicated, non-shared node partitions (§2.1): a VC's queue,
 // placement, and completion events never interact with another VC's. That
@@ -12,17 +12,23 @@
 // queue, and run slots:
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
 //    currently running instead of every run slot ever created;
-//  * FIFO never reorders, so its queue is a deque with tombstones instead of
-//    an ordered set;
+//  * FIFO never reorders, so its queue is a bitmap over arrival order
+//    instead of an ordered set;
 //  * backfill passes keep the minimum queued GPU demand in a multiset and
 //    skip the scan entirely when even the smallest queued job exceeds the
 //    VC's free GPUs;
 //  * busy-node/GPU accounting coalesces runs of events that leave the busy
 //    counters unchanged into one BusySegment, so the series costs O(busy
 //    changes), not O(events x buckets).
+//
+// The loop is resumable: advance(until) processes every event at or before
+// `until`. Without a PowerController each shard runs advance(∞) once; with
+// one (CES's DRS), boot completions are events, arrivals and blocked heads
+// call its hooks, and its serial tick sleeps nodes between advances.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/cluster_state.h"
@@ -30,16 +36,17 @@
 
 namespace helios::sim {
 
-/// A maximal interval over which a VC's busy-node/GPU counts and power draw
-/// are constant. Shards log these; the orchestrator integrates them into the
-/// cluster-wide series after the parallel phase (intervals may overhang the
-/// bucket window; the integrator clamps). Unlike the busy counts, `watts`
-/// includes the idle baseline, so segments cover idle stretches too.
+/// A maximal interval over which a VC's busy-node/GPU counts, powered nodes
+/// and power draw are constant. Shards log these; the orchestrator
+/// integrates them into the cluster-wide series after the parallel phase
+/// (intervals may overhang the bucket window; the integrator clamps). Unlike
+/// the busy counts, `active` and `watts` cover idle stretches too.
 struct BusySegment {
   std::int64_t t0 = 0;
   std::int64_t t1 = 0;
   std::int32_t nodes = 0;
   std::int32_t gpus = 0;
+  std::int32_t active = 0;  ///< powered nodes (active + booting)
   double watts = 0.0;  ///< VC draw: node baseline + per-GPU draw of its runs
 };
 
@@ -53,41 +60,39 @@ class VcSimulator {
     std::int64_t failures = 0;  ///< node-failure events applied
   };
 
-  /// `vc` is the cluster-spec VC index; the shard models only that VC's
-  /// nodes. `window_begin` is where busy accounting starts (the cluster-wide
-  /// series origin); `config` must be shared across shards. The shard copies
-  /// its VC's FaultPlan events up front, remapped through
-  /// SimConfig::node_order so the allocator's id-order preference follows
-  /// the configured placement ranking.
-  VcSimulator(const trace::ClusterSpec& spec, int vc, const SimConfig& config,
-              UnixTime window_begin);
+  /// A shard modelling only cluster-spec VC `vc`'s nodes. `window_begin` is
+  /// the series origin; `config` is shared across shards (the VC's FaultPlan
+  /// events are copied, remapped through SimConfig::node_order). `arrivals`
+  /// holds this VC's indices into `outcomes` (positions in the trace's GPU-job
+  /// order) in submit order; the shard writes start, end, kills and rejected
+  /// of its own entries only, so shards run concurrently over one vector.
+  /// `t`, `arrivals` and `outcomes` must outlive the shard. The first
+  /// advance() builds its job table, so priority_fn runs on its worker.
+  [[nodiscard]] static std::unique_ptr<VcSimulator> create(
+      const trace::ClusterSpec& spec, int vc, const SimConfig& config,
+      UnixTime window_begin, const trace::Trace& t,
+      const std::vector<std::size_t>& arrivals,
+      std::vector<JobOutcome>& outcomes);
+  virtual ~VcSimulator() = default;
 
-  /// Simulate this VC's jobs. `arrivals` holds indices into `outcomes` (==
-  /// positions in the trace's GPU-job order) in submit order; entries are
-  /// pre-filled with submit/gpus/vc/trace_index and run() writes start, end,
-  /// and rejected for its own entries only, so shards may run concurrently
-  /// over one shared outcomes vector.
-  Counters run(const trace::Trace& t, const std::vector<std::size_t>& arrivals,
-               std::vector<JobOutcome>& outcomes);
+  /// Process every event at or before `until`, in time order.
+  virtual void advance(std::int64_t until) = 0;
+  /// Close the trailing busy segment once the last advance() ran.
+  virtual Counters finish() = 0;
+  /// Busy-count segments recorded so far, in time order.
+  [[nodiscard]] virtual const std::vector<BusySegment>& segments()
+      const noexcept = 0;
+  /// Time of the next event; advance() before it does nothing.
+  [[nodiscard]] virtual std::int64_t next_event() const noexcept = 0;
 
-  /// Busy-count segments recorded by run(), in time order.
-  [[nodiscard]] const std::vector<BusySegment>& segments() const noexcept {
-    return segments_;
-  }
-
- private:
-  const SimConfig* config_;
-  UnixTime window_begin_;
-  ClusterState state_;
-  /// This VC's capacity-proportional share of SimConfig::power_cap_watts;
-  /// <= 0 when admission is uncapped.
-  double cap_share_ = 0.0;
-  /// Sum of the per-GPU draws of the currently active runs.
-  double run_watts_ = 0.0;
-  std::vector<BusySegment> segments_;
-  /// This VC's fault events, time-sorted, with `node` already translated to
-  /// the shard's internal node ids (the node_order permutation).
-  std::vector<NodeFaultEvent> faults_;
+  /// -- node power control, for PowerController hooks ----------------------
+  /// The shard's single-VC state: its VC is index 0.
+  [[nodiscard]] virtual const ClusterState& state() const noexcept = 0;
+  /// ClusterState::wake_nodes_in_vc / sleep_idle_nodes_in_vc on this VC; a
+  /// transition clears the blocked-head memo and splits the busy segment.
+  virtual int wake_nodes(int count, std::int64_t now,
+                         std::int64_t boot_delay) = 0;
+  virtual int sleep_idle_nodes(int count, std::int64_t now) = 0;
 };
 
 }  // namespace helios::sim

@@ -97,6 +97,7 @@ bool results_identical(const sim::SimResult& a,
   };
   return series_identical(a.busy_nodes, b.busy_nodes) &&
          series_identical(a.busy_gpus, b.busy_gpus) &&
+         series_identical(a.active_nodes, b.active_nodes) &&
          series_identical(a.power_watts, b.power_watts) &&
          series_identical(a.peak_power_watts, b.peak_power_watts);
 }

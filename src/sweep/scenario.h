@@ -108,10 +108,10 @@ struct SweepResult {
 };
 
 /// Exact (bitwise, not approximate) equality of two simulation results —
-/// outcomes, counters, per-VC stats (energy included), busy series, and the
-/// energy/power outputs (cumulative joules, max watts, mean and peak power
-/// series). The parity gates of the sweep drivers and tests compare through
-/// this.
+/// outcomes, counters, per-VC stats (energy included), busy and powered-node
+/// series, and the energy/power outputs (cumulative joules, max watts, mean
+/// and peak power series). The parity gates of the sweep drivers and tests
+/// compare through this.
 [[nodiscard]] bool results_identical(const sim::SimResult& a,
                                      const sim::SimResult& b) noexcept;
 

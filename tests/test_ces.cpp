@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/ces_service.h"
 #include "core/framework.h"
 #include "sim/simulator.h"
+#include "sweep/scenario.h"
 #include "trace/synthetic.h"
 
 namespace helios::core {
@@ -100,15 +104,132 @@ TEST(CesService, VanillaDrsWakesMoreOften) {
 
 TEST(CesService, JobsAllEventuallyRun) {
   CesFixture f;
+  auto model = naive_model();
+  model->fit(f.history);
+  const Trace eval = f.t.between(f.eval_begin, f.eval_end);
+  // The replay's own simulator run: DRS delays jobs (affected is a delay
+  // count, not a loss count) but must never strand one — every GPU job of
+  // the window runs to completion, uninterrupted.
+  DrsController drs(test_config(), *model, eval, f.history, f.eval_begin,
+                    f.eval_end);
+  const auto r = sim::ClusterSimulator(eval.cluster(), drs.sim_config()).run(eval);
+  std::size_t gpu_jobs = 0;
+  for (const auto& j : eval.jobs()) gpu_jobs += j.is_gpu_job() ? 1 : 0;
+  ASSERT_GT(gpu_jobs, 100u);
+  ASSERT_EQ(r.outcomes.size(), gpu_jobs);
+  EXPECT_EQ(r.unfinished_jobs, 0);
+  EXPECT_EQ(r.rejected_jobs, 0);
+  for (const auto& o : r.outcomes) {
+    ASSERT_FALSE(o.rejected) << "job " << o.trace_index;
+    ASSERT_NE(o.end, trace::kNeverStarted) << "job " << o.trace_index;
+    EXPECT_GE(o.start, o.submit);
+    EXPECT_EQ(o.end - o.start,
+              std::max<std::int32_t>(1, eval.jobs()[o.trace_index].duration));
+  }
+  EXPECT_GT(drs.summarize(r).wakeup_events, 0);  // DRS powered nodes on/off
+
   CesService svc(test_config(), naive_model());
   svc.fit(f.history);
-  const auto r = svc.replay(f.t, f.history, f.eval_begin, f.eval_end);
-  // Conservation: the replay must not strand jobs (affected is a delay
-  // count, not a loss count) — checked indirectly: utilization > 0 and the
-  // running series integrates to roughly the baseline's GPU work.
-  double ces_work = 0.0;
-  for (double v : r.running_nodes.values) ces_work += v;
-  EXPECT_GT(ces_work, 0.0);
+  const auto ces = svc.replay(f.t, f.history, f.eval_begin, f.eval_end);
+  EXPECT_EQ(ces.total_jobs, static_cast<std::int64_t>(gpu_jobs));
+}
+
+TEST(CesService, SleepAccountingIsClippedToTheWindow) {
+  // One VC of 4 nodes, a one-hour window (six 600 s buckets), and one 8-GPU
+  // job that starts inside it and runs 20,000 s past its end. Vanilla DRS
+  // sleeps two idle nodes at the first check and keeps them asleep while the
+  // job drains; only the sleep inside [begin, end) may count.
+  trace::ClusterSpec spec;
+  spec.name = "one";
+  spec.gpus_per_node = 8;
+  spec.vcs = {{"vc0", 4, 8}};
+  spec.nodes = 4;
+  const UnixTime begin = from_civil(2020, 9, 1);
+  const UnixTime end = begin + 3600;
+  Trace t(spec);
+  t.add(begin + 100, 23600, 8, 8, "user", "vc0", "long",
+        trace::JobState::kCompleted);
+  forecast::TimeSeries history;
+  history.step = 600;
+  history.begin = begin - 200 * history.step;
+  history.values.assign(200, 1.0);
+
+  CesConfig cfg;
+  cfg.sigma = 1;
+  cfg.vanilla_drs = true;
+  CesService svc(cfg, naive_model());
+  svc.fit(history);
+  const auto r = svc.replay(t, history, begin, end);
+
+  ASSERT_EQ(r.active_nodes.size(), 6u);
+  double mean_active = 0.0;
+  for (double v : r.active_nodes.values) mean_active += v;
+  mean_active /= static_cast<double>(r.active_nodes.size());
+  EXPECT_GT(r.avg_drs_nodes, 0.0);  // nodes did sleep
+  EXPECT_NEAR(r.avg_drs_nodes, r.total_nodes - mean_active, 1e-9);
+  // Two nodes asleep from the first check (600 s) to the end (3600 s).
+  EXPECT_NEAR(r.avg_drs_nodes, 2.0 * 3000.0 / 3600.0, 1e-9);
+  EXPECT_NEAR(r.saved_kwh, cfg.power.saved_kwh(2.0 * 3000.0), 1e-9);
+}
+
+// Every CesResult field bit for bit, except node_util_original (the
+// always-on run's, which DrsController::summarize leaves at 0).
+void expect_same_ces(const CesResult& a, const CesResult& b) {
+  for (const auto& [x, y] : {std::pair{&a.running_nodes, &b.running_nodes},
+                             std::pair{&a.active_nodes, &b.active_nodes},
+                             std::pair{&a.predicted_nodes, &b.predicted_nodes}}) {
+    EXPECT_EQ(x->begin, y->begin);
+    EXPECT_EQ(x->step, y->step);
+    EXPECT_EQ(x->values, y->values);
+  }
+  EXPECT_EQ(a.total_nodes, b.total_nodes);
+  EXPECT_EQ(a.avg_drs_nodes, b.avg_drs_nodes);
+  EXPECT_EQ(a.daily_wakeups, b.daily_wakeups);
+  EXPECT_EQ(a.avg_woken_per_wakeup, b.avg_woken_per_wakeup);
+  EXPECT_EQ(a.wakeup_events, b.wakeup_events);
+  EXPECT_EQ(a.woken_nodes, b.woken_nodes);
+  EXPECT_EQ(a.node_util_ces, b.node_util_ces);
+  EXPECT_EQ(a.affected_jobs, b.affected_jobs);
+  EXPECT_EQ(a.total_jobs, b.total_jobs);
+  EXPECT_EQ(a.saved_kwh, b.saved_kwh);
+  EXPECT_EQ(a.annualized_kwh, b.annualized_kwh);
+  EXPECT_EQ(a.forecast_smape, b.forecast_smape);
+}
+
+TEST(CesDeterminism, DrsReplayParallelEqualsSerial) {
+  // The DRS controller through ClusterSimulator: shards advance in parallel
+  // between the tick barriers and the periodic check runs serially, so a
+  // parallel replay must equal the serial one bit for bit — the simulator
+  // result and every CES counter.
+  CesFixture f;
+  const Trace eval = f.t.between(f.eval_begin, f.eval_end);
+  ASSERT_GT(eval.cluster().vcs.size(), 1u);
+  for (const bool vanilla : {false, true}) {
+    SCOPED_TRACE(vanilla ? "vanilla DRS" : "CES");
+    auto model = naive_model();
+    model->fit(f.history);
+    auto run = [&](common::ExecMode mode) {
+      DrsController drs(test_config(vanilla), *model, eval, f.history,
+                        f.eval_begin, f.eval_end);
+      sim::SimConfig cfg = drs.sim_config();
+      cfg.execution = mode;
+      auto sim = sim::ClusterSimulator(eval.cluster(), cfg).run(eval);
+      auto ces = drs.summarize(sim);
+      return std::pair{std::move(sim), std::move(ces)};
+    };
+    const auto [serial_sim, serial] = run(common::ExecMode::kSerial);
+    const auto [parallel_sim, parallel] = run(common::ExecMode::kParallel);
+    EXPECT_GT(serial.wakeup_events, 0);  // power transitions were exercised
+    EXPECT_GT(serial.affected_jobs, 0);
+    EXPECT_TRUE(sweep::results_identical(serial_sim, parallel_sim));
+    expect_same_ces(serial, parallel);
+
+    // CesService::replay is exactly this run.
+    CesService svc(test_config(vanilla), naive_model());
+    svc.fit(f.history);
+    expect_same_ces(svc.replay(f.t, f.history, f.eval_begin, f.eval_end),
+                    serial);
+  }
 }
 
 TEST(CesService, ForecastTracksActual) {

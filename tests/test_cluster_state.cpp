@@ -94,7 +94,7 @@ TEST(ClusterState, BusyCountersTrackAllocations) {
 
 TEST(ClusterState, SleepingNodesAreUnschedulable) {
   ClusterState cs(tiny_spec());
-  EXPECT_EQ(cs.sleep_idle_nodes(2), 2);
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 2), 2);
   EXPECT_EQ(cs.active_nodes(), 3);
   EXPECT_EQ(cs.sleeping_nodes(), 2);
   // vcA lost both nodes -> allocation fails even though capacity exists.
@@ -110,15 +110,17 @@ TEST(ClusterState, SleepSkipsBusyNodes) {
   ASSERT_TRUE(a.has_value());
   auto b = cs.try_allocate(1, 24);  // all vcB nodes busy
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(cs.sleep_idle_nodes(5), 0);  // nothing idle to sleep
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 0);  // nothing idle to sleep
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);
   cs.release(*a);
-  EXPECT_EQ(cs.sleep_idle_nodes(5), 2);  // only the two vcA nodes
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);  // only the two vcA nodes
 }
 
 TEST(ClusterState, WakeAndBootLifecycle) {
   ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes(3), 3);
-  EXPECT_EQ(cs.wake_nodes(2, /*now=*/1000, /*boot_delay=*/300), 2);
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 3), 3);
+  EXPECT_EQ(cs.wake_nodes_in_vc(1, 2, /*now=*/1000, /*boot_delay=*/300), 2);
   // Booting nodes count as active (powered) but are not schedulable.
   EXPECT_EQ(cs.active_nodes(), 4);
   EXPECT_EQ(cs.sleeping_nodes(), 1);
@@ -132,7 +134,8 @@ TEST(ClusterState, WakeAndBootLifecycle) {
 
 TEST(ClusterState, WakeNodesInVc) {
   ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes(5), 5);
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 3);
   EXPECT_EQ(cs.wake_nodes_in_vc(0, 5, 0, 300), 2);  // vcA only has 2 nodes
   cs.finish_boots(300);
   EXPECT_EQ(cs.schedulable_gpus(0), 16);

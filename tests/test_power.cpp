@@ -114,9 +114,8 @@ TEST(EnergyAccounting, GpuWattsFnOverridesTheProfileDraw) {
 }
 
 TEST(EnergyAccounting, WorkloadFreeVcBillsItsIdleBaseline) {
-  // vc1 never sees a job, so it spawns no shard — its idle draw must still
-  // be billed analytically, and the per-VC energies must sum *exactly* to
-  // the cluster energy.
+  // vc1 never sees a job — its idle draw must still be billed, and the
+  // per-VC energies must sum *exactly* to the cluster energy.
   trace::ClusterSpec spec;
   spec.name = "two";
   spec.gpus_per_node = 8;

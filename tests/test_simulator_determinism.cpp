@@ -98,6 +98,12 @@ void expect_identical(const SimResult& serial, const SimResult& sharded) {
     ASSERT_EQ(serial.busy_gpus.values[i], sharded.busy_gpus.values[i])
         << "busy_gpus bucket " << i;
   }
+  ASSERT_EQ(serial.active_nodes.values.size(),
+            sharded.active_nodes.values.size());
+  for (std::size_t i = 0; i < serial.active_nodes.values.size(); ++i) {
+    ASSERT_EQ(serial.active_nodes.values[i], sharded.active_nodes.values[i])
+        << "active_nodes bucket " << i;
+  }
 }
 
 // A binding-but-not-degenerate cap for `spec`: the all-active idle baseline
