@@ -5,11 +5,13 @@
 #   ./ci.sh smoke      full build + fast suites only (ctest -L smoke)
 #   ./ci.sh bench      full build + microbenchmark smoke run (short
 #                      --benchmark_min_time so perf regressions fail loudly
-#                      instead of silently; binaries are built -O2 -DNDEBUG);
-#                      also runs the serve replay driver (writes
-#                      build/BENCH_svc.json), the scenario sweep matrix
-#                      (writes build/BENCH_sweep.json), and the energy-vs-JCT
-#                      power ablation (writes build/BENCH_power.json)
+#                      instead of silently; binaries are built -O2 -DNDEBUG;
+#                      results land in build/BENCH_sim.json and
+#                      build/BENCH_ml.json); also runs the serve replay
+#                      (writes build/BENCH_svc.json), the scenario sweep
+#                      matrix (writes build/BENCH_sweep.json), and the
+#                      energy-vs-JCT power ablation (writes
+#                      build/BENCH_power.json)
 #   ./ci.sh sweep      full build + parity-gated scenario sweep at small
 #                      scale: sweep_matrix runs a 2-cluster x 4-policy x
 #                      2-seed grid through sweep::ScenarioEngine twice
@@ -139,7 +141,10 @@ if [ "$mode" = bench ]; then
     echo "FAIL: microbench_sim not built (install google-benchmark)" >&2
     exit 1
   fi
-  build/microbench_sim --benchmark_min_time=0.1 "$@"
+  # Machine-readable results land next to the curated repo-root BENCH_sim.json
+  # (recorded medians); the binary exits non-zero on any parity mismatch.
+  build/microbench_sim --benchmark_min_time=0.1 \
+    --benchmark_out=build/BENCH_sim.json --benchmark_out_format=json "$@"
   if [ ! -x build/microbench_ml ]; then
     echo "FAIL: microbench_ml not built (install google-benchmark)" >&2
     exit 1

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/civil_time.h"
@@ -60,7 +61,7 @@ std::vector<double> busy_gpu_seconds(const Trace& t, UnixTime begin, UnixTime en
     if (pred && !pred(j)) continue;
     add_busy(acc, j, end);
   }
-  return acc.integrals();
+  return std::move(acc).integrals();
 }
 
 UtilizationSeries utilization_series(const Trace& t, UnixTime begin, UnixTime end,
@@ -205,7 +206,7 @@ std::vector<VCBehavior> vc_behaviors(const Trace& t, UnixTime begin, UnixTime en
       sim::BucketIntegrator acc(begin, end, minute_step);
       for (const std::size_t i : members) add_busy(acc, jobs[i], end);
       b.utilization = stats::box_stats_sorted(sorted_utilization(
-          acc.integrals(),
+          std::move(acc).integrals(),
           static_cast<double>(b.gpus) * static_cast<double>(minute_step)));
     }
 

@@ -1,10 +1,13 @@
-// Bucketed time integral of a piecewise-constant function.
+// Bucketed time integrals of piecewise-constant functions.
 //
-// Used for the simulator's busy-node / busy-GPU / powered-node output series
-// (which the CES service reads) and the analysis layer's busy GPU-seconds
-// (analysis::busy_gpu_seconds, vc_behaviors): callers report intervals of
-// constant value via add(), and mean_series() / integrals() read the result
-// back as per-bucket means / per-bucket integrals.
+// BucketIntegrator integrates one function of any double values: the
+// simulator's power series and the analysis layer's busy GPU-seconds
+// (analysis::busy_gpu_seconds, vc_behaviors). CountIntegrator integrates
+// three integer-valued functions reported over the same intervals: the
+// simulator's busy-node / busy-GPU / powered-node series (which the CES
+// service reads). Callers report intervals of constant value via add(), and
+// mean_series() / integrals() consume the integrator and return per-bucket
+// means / per-bucket integrals, built in its own storage.
 //
 // add() is O(1) regardless of interval length: each interval contributes a
 // +value/-value pair to a difference array (slope_, covering whole buckets)
@@ -22,6 +25,7 @@
 // any order) and still reproduce a serial accumulation bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -35,8 +39,7 @@ class BucketIntegrator {
   BucketIntegrator(UnixTime begin, UnixTime end, std::int64_t step);
 
   /// Accumulate `value` over [t0, t1) (clamped to the bucket window).
-  /// Inline: the simulator's segment-merge loop issues paired calls with
-  /// identical intervals, and inlining lets the clamp arithmetic be shared.
+  /// Inline: the simulator's segment merge calls it once per segment.
   void add(UnixTime t0, UnixTime t1, double value) {
     if (value == 0.0 || t1 <= t0) return;
     const UnixTime window_end =
@@ -60,10 +63,10 @@ class BucketIntegrator {
   /// Per-bucket integrals (value x seconds), one per bucket. Exact — and
   /// equal to walking every bucket each interval covers — when the added
   /// values are integers (see the file comment).
-  [[nodiscard]] std::vector<double> integrals() const;
+  [[nodiscard]] std::vector<double> integrals() &&;
 
   /// Per-bucket mean values: integrals() / step.
-  [[nodiscard]] forecast::TimeSeries mean_series() const;
+  [[nodiscard]] forecast::TimeSeries mean_series() &&;
 
   [[nodiscard]] std::size_t bucket_count() const noexcept {
     return offset_.size();
@@ -80,6 +83,62 @@ class BucketIntegrator {
   std::vector<double> slope_;
   /// Partial-bucket corrections for interval endpoints. Size bucket_count().
   std::vector<double> offset_;
+};
+
+/// Bucketed integrals of three integer-valued functions that change at the
+/// same instants. add() runs the clamp and bucket arithmetic once per
+/// interval for all three columns. Each column is a single difference array
+/// whose prefix sums are the bucket integrals: an interval [t0, t1) adds its
+/// head term at b0 and its tail correction at b1, and cancels each in the
+/// next cell. With integer values every term and every prefix sum is an
+/// exact integer (below 2^53), so the integrals equal BucketIntegrator's bit
+/// for bit and in any add() order — but non-integer values would round
+/// differently, which is why power keeps its own BucketIntegrator.
+class CountIntegrator {
+ public:
+  static constexpr std::size_t kColumns = 3;
+  using Counts = std::array<std::int32_t, kColumns>;
+
+  /// Buckets of `step` seconds covering [begin, end); at least one bucket.
+  CountIntegrator(UnixTime begin, UnixTime end, std::int64_t step);
+
+  /// Accumulate `counts` over [t0, t1) (clamped to the bucket window).
+  /// Inline: the simulator's segment merge calls it once per segment.
+  void add(UnixTime t0, UnixTime t1, const Counts& counts) {
+    if ((counts[0] == 0 && counts[1] == 0 && counts[2] == 0) || t1 <= t0) {
+      return;
+    }
+    t0 = t0 < begin_ ? begin_ : t0;
+    t1 = t1 > window_end_ ? window_end_ : t1;
+    if (t1 <= t0) return;
+    const auto b0 = static_cast<std::size_t>((t0 - begin_) / step_);
+    const auto b1 = static_cast<std::size_t>((t1 - 1 - begin_) / step_);
+    const UnixTime lo0 = begin_ + static_cast<UnixTime>(b0) * step_;
+    const UnixTime lo1 = begin_ + static_cast<UnixTime>(b1) * step_;
+    const auto head = static_cast<double>(lo0 + step_ - t0);  // [t0, hi0)
+    const auto skip = static_cast<double>(t0 - lo0);          // [lo0, t0)
+    const auto tail = static_cast<double>(lo1 + step_ - t1);  // [t1, hi1)
+    const auto used = static_cast<double>(t1 - lo1);          // [lo1, t1)
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const auto v = static_cast<double>(counts[c]);
+      std::vector<double>& d = cells_[c];
+      d[b0] += v * head;      // b0 holds [t0, hi0)
+      d[b0 + 1] += v * skip;  // later buckets run at v * step
+      d[b1] -= v * tail;      // b1 holds [lo1, t1)
+      d[b1 + 1] -= v * used;  // later buckets hold nothing
+    }
+  }
+
+  /// Per-bucket means of every column, built in place.
+  [[nodiscard]] std::array<forecast::TimeSeries, kColumns> mean_series() &&;
+
+ private:
+  UnixTime begin_;
+  std::int64_t step_;
+  UnixTime window_end_;
+  /// Per column, one cell per bucket plus a spare so an interval ending in
+  /// the last bucket has somewhere to cancel.
+  std::array<std::vector<double>, kColumns> cells_;
 };
 
 }  // namespace helios::sim

@@ -9,6 +9,7 @@
 
 #include "common/thread_pool.h"
 #include "sim/bucket_integrator.h"
+#include "sim/peak_power.h"
 #include "sim/vc_simulator.h"
 
 namespace helios::sim {
@@ -115,54 +116,44 @@ SimResult ClusterSimulator::run(const Trace& t) const {
                                          window_begin, t, vc_arrivals[vi],
                                          result.outcomes));
   }
-  auto advance_all = [&](std::int64_t until) {
-    std::vector<std::function<void()>> tasks;
-    for (auto& shard : shards) {
-      if (shard->next_event() > until) continue;  // nothing due
-      tasks.push_back([&shard, until] { shard->advance(until); });
-    }
-    if (config_.execution == common::ExecMode::kSerial || tasks.size() <= 1) {
-      for (auto& task : tasks) task();
-    } else {
-      parallel_run_tasks(std::move(tasks));
-    }
-  };
+  // A tick barrier holds microseconds of shard work, less than a fork-join
+  // costs, so each tick advances its due shards inline in VC order; only the
+  // final drain forks. Shards are independent between ticks, so the result
+  // is the same under either exec mode.
   if (controller != nullptr) {
     for (std::int64_t tick = window_begin + controller->tick_interval;
          tick < window_end; tick += controller->tick_interval) {
-      advance_all(tick);
+      for (auto& shard : shards) {
+        if (shard->next_event() <= tick) shard->advance(tick);
+      }
       controller->on_tick(shards, tick);
     }
   }
-  advance_all(std::numeric_limits<std::int64_t>::max());
+  if (config_.execution == common::ExecMode::kSerial || shards.size() <= 1) {
+    for (auto& shard : shards) shard->advance(std::numeric_limits<std::int64_t>::max());
+  } else {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(shards.size());
+    for (auto& shard : shards) {
+      tasks.push_back(
+          [&shard] { shard->advance(std::numeric_limits<std::int64_t>::max()); });
+    }
+    parallel_run_tasks(std::move(tasks));
+  }
 
   // Deterministic merge in VC order. Every busy-segment term is an exact
-  // integer product of a count and a duration (see BucketIntegrator), so the
-  // merged series equals a serial accumulation bit-for-bit. The power terms
-  // may carry non-integer watts (gpu_watts_fn, cap shares), but this loop
-  // runs serially in VC order under BOTH exec modes, so the accumulation
-  // order — and with it every double — is identical for kSerial/kParallel.
-  BucketIntegrator nodes_acc(window_begin, window_end, config_.series_step);
-  BucketIntegrator gpus_acc(window_begin, window_end, config_.series_step);
-  BucketIntegrator active_acc(window_begin, window_end, config_.series_step);
+  // integer product of a count and a duration (see bucket_integrator.h), so
+  // the merged count series equal a serial accumulation bit-for-bit. The
+  // power terms may carry non-integer watts (gpu_watts_fn, cap shares), but
+  // this loop runs serially in VC order under BOTH exec modes, so the
+  // accumulation order — and with it every double — is identical for
+  // kSerial/kParallel. One pass per VC log feeds the three count columns
+  // through one integrator and bills the power interval, clamped to the
+  // exact window.
+  CountIntegrator counts_acc(window_begin, window_end, config_.series_step);
   BucketIntegrator power_acc(window_begin, window_end, config_.series_step);
-  // (time, ±watts) boundaries of every clamped power interval, gathered in
-  // VC order for the deterministic peak sweep below.
-  struct PowerEdge {
-    UnixTime time = 0;
-    double delta = 0.0;
-  };
-  std::vector<PowerEdge> edges;
   std::vector<double> vc_energy(n_vcs, 0.0);
-  auto bill = [&](std::size_t vi, UnixTime t0, UnixTime t1, double watts) {
-    t0 = std::max(t0, window_begin);
-    t1 = std::min(t1, window_end);
-    if (t1 <= t0 || watts == 0.0) return;
-    vc_energy[vi] += watts * static_cast<double>(t1 - t0);
-    power_acc.add(t0, t1, watts);
-    edges.push_back({t0, watts});
-    edges.push_back({t1, -watts});
-  };
+  std::vector<std::span<const BusySegment>> logs(n_vcs);
   // A controller's window is exact: nothing after window_end enters a
   // series. Without one, the series run to the end of their last bucket.
   const UnixTime series_end = controller != nullptr
@@ -170,59 +161,35 @@ SimResult ClusterSimulator::run(const Trace& t) const {
                                   : std::numeric_limits<UnixTime>::max();
   for (std::size_t vi = 0; vi < n_vcs; ++vi) {
     const VcSimulator::Counters counters = shards[vi]->finish();
-    for (const BusySegment& seg : shards[vi]->segments()) {
-      const UnixTime t1 = std::min(seg.t1, series_end);
-      nodes_acc.add(seg.t0, t1, seg.nodes);
-      gpus_acc.add(seg.t0, t1, seg.gpus);
-      active_acc.add(seg.t0, t1, seg.active);
-      bill(vi, seg.t0, seg.t1, seg.watts);
+    logs[vi] = shards[vi]->segments();
+    for (const BusySegment& seg : logs[vi]) {
+      counts_acc.add(seg.t0, std::min(seg.t1, series_end),
+                     {seg.nodes, seg.gpus, seg.active});
+      const UnixTime t0 = std::max(seg.t0, window_begin);
+      const UnixTime t1 = std::min(seg.t1, window_end);
+      if (t1 <= t0 || seg.watts == 0.0) continue;
+      vc_energy[vi] += seg.watts * static_cast<double>(t1 - t0);
+      power_acc.add(t0, t1, seg.watts);
     }
     result.preemptions += counters.preemptions;
     result.rejected_jobs += counters.rejected;
     result.job_kills += counters.kills;
     result.node_failures += counters.failures;
   }
-  result.busy_nodes = nodes_acc.mean_series();
-  result.busy_gpus = gpus_acc.mean_series();
-  result.active_nodes = active_acc.mean_series();
-  result.power_watts = power_acc.mean_series();
+  auto counts = std::move(counts_acc).mean_series();
+  result.busy_nodes = std::move(counts[0]);
+  result.busy_gpus = std::move(counts[1]);
+  result.active_nodes = std::move(counts[2]);
+  result.power_watts = std::move(power_acc).mean_series();
   for (std::size_t vi = 0; vi < n_vcs; ++vi) {
     result.energy_joules += vc_energy[vi];
   }
-
-  // Peak-power series: sweep the interval boundaries in time order. The
-  // stable sort keeps equal-time edges in their VC-order insertion order, so
-  // the running sum visits identical partial sums on every run and the peaks
-  // are bit-deterministic.
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const PowerEdge& a, const PowerEdge& b) {
-                     return a.time < b.time;
-                   });
   result.peak_power_watts.begin = window_begin;
   result.peak_power_watts.step = config_.series_step;
-  result.peak_power_watts.values.assign(power_acc.bucket_count(), 0.0);
-  {
-    auto& peak = result.peak_power_watts.values;
-    double cur = 0.0;
-    std::size_t b = 0;
-    for (std::size_t i = 0; i < edges.size();) {
-      const UnixTime t = edges[i].time;
-      while (b + 1 < peak.size() &&
-             t >= window_begin +
-                      static_cast<UnixTime>(b + 1) * config_.series_step) {
-        ++b;
-        peak[b] = std::max(peak[b], cur);  // draw carries across the boundary
-      }
-      // Apply every edge of this instant before sampling: a segment ending
-      // and another starting at the same second must not momentarily stack.
-      for (; i < edges.size() && edges[i].time == t; ++i) {
-        cur += edges[i].delta;
-      }
-      peak[b] = std::max(peak[b], cur);
-    }
-    for (double v : peak) {
-      result.max_power_watts = std::max(result.max_power_watts, v);
-    }
+  result.peak_power_watts.values =
+      peak_power_series(logs, window_begin, window_end, config_.series_step);
+  for (double v : result.peak_power_watts.values) {
+    result.max_power_watts = std::max(result.max_power_watts, v);
   }
 
   // ---- metrics ----------------------------------------------------------

@@ -29,6 +29,8 @@ struct QueueKey {
   }
 };
 
+constexpr std::uint32_t kNotStarted = std::numeric_limits<std::uint32_t>::max();
+
 /// Dense shard-local copy of the per-job fields the event loop touches, so
 /// the hot path never chases outcomes[arrivals[lj]] through two indirections
 /// into the (globally interleaved) outcomes array.
@@ -38,18 +40,24 @@ struct LocalJob {
   std::int64_t total = 0;      ///< full duration (FaultRestart::kRestart)
   std::size_t trace_index = 0;
   std::int32_t gpus = 0;
+  /// Rank of the job's first start among this shard's jobs: the fixed order
+  /// in which failure kills and SRTF ties visit running jobs.
+  std::uint32_t start_seq = kNotStarted;
   double priority = 0.0;
   double watts = 0.0;  ///< total draw while running: gpus × per-GPU watts
 };
 
+/// A run slot, recycled through a free list: slots number the jobs running
+/// at once, not every job ever started.
 struct RunningJob {
   std::size_t local = 0;  ///< arrivals position of the job
   Allocation alloc;
   std::int64_t run_start = 0;
   std::int64_t remaining = 0;  ///< at run_start
   double watts = 0.0;  ///< draw added at start; subtracted verbatim on stop
+  /// Bumped whenever the run stops, so its pending finish event goes stale.
   std::uint64_t generation = 0;
-  bool active = false;
+  std::uint32_t start_seq = 0;  ///< the job's LocalJob::start_seq
 };
 
 struct FinishEvent {
@@ -409,13 +417,9 @@ class Shard final : public VcSimulator {
       while (!finishes_.empty() && finishes_.top().time <= now) {
         const FinishEvent f = finishes_.top();
         finishes_.pop();
-        RunningJob& r = runs_[f.slot];
-        if (!r.active || r.generation != f.generation) continue;
-        r.active = false;
-        ++r.generation;
-        deactivate(f.slot);
+        if (runs_[f.slot].generation != f.generation) continue;
+        const RunningJob& r = stop_run(f.slot);
         state_.release(r.alloc);
-        run_watts_ -= r.watts;
         outcome(r.local).end = now;
         need_schedule = true;  // freed GPUs invalidate the blocked-head memo
       }
@@ -505,8 +509,8 @@ class Shard final : public VcSimulator {
   // the ones still running (only the segments and counters are read later).
   void release_loop_state() {
     jobs_ = decltype(jobs_)();
-    run_slot_ = decltype(run_slot_)();
     runs_ = decltype(runs_)();
+    free_slots_ = decltype(free_slots_)();
     finishes_ = decltype(finishes_)();
     active_slots_ = decltype(active_slots_)();
     active_pos_ = decltype(active_pos_)();
@@ -567,14 +571,8 @@ class Shard final : public VcSimulator {
       job.watts = gw * j.num_gpus;
       job.priority = base_priority(j, gw);
     }
-    run_slot_.assign(n_, SIZE_MAX);
     queue_.init(n_);
     queued_gpus_.init(state_.capacity_gpus(0));
-    runs_.reserve(n_);  // one slot per job at most; growth would copy Allocations
-    std::vector<FinishEvent> heap;
-    heap.reserve(n_ + 1);
-    finishes_ = decltype(finishes_)(std::greater<>{}, std::move(heap));
-    active_pos_.reserve(n_);
     segments_.reserve(2 * n_ + 2);
   }
 
@@ -592,7 +590,7 @@ class Shard final : public VcSimulator {
     // Drain stale finish events.
     while (!finishes_.empty()) {
       const FinishEvent& f = finishes_.top();
-      if (runs_[f.slot].active && runs_[f.slot].generation == f.generation) break;
+      if (runs_[f.slot].generation == f.generation) break;
       finishes_.pop();
     }
     std::int64_t t = boot ? *boot : kNever;
@@ -638,13 +636,21 @@ class Shard final : public VcSimulator {
     return baseline_watts() + run_watts_ + extra_watts <= cap_share_;
   }
 
-  void deactivate(std::size_t slot) {
+  // Stop the run in `slot`: its pending finish event goes stale, its draw
+  // leaves the VC total, and the slot returns to the free list. The caller
+  // releases (or has released) its GPUs.
+  const RunningJob& stop_run(std::size_t slot) {
+    RunningJob& r = runs_[slot];
+    ++r.generation;
+    run_watts_ -= r.watts;
     const std::size_t pos = active_pos_[slot];
     const std::size_t back = active_slots_.back();
     active_slots_[pos] = back;
     active_pos_[back] = pos;
     active_slots_.pop_back();
     active_pos_[slot] = SIZE_MAX;
+    free_slots_.push_back(slot);
+    return r;
   }
 
   void enqueue(std::size_t lj) {
@@ -660,25 +666,25 @@ class Shard final : public VcSimulator {
   void start_job(std::size_t lj, Allocation alloc, std::int64_t now) {
     JobOutcome& o = outcome(lj);
     if (o.start == trace::kNeverStarted) o.start = now;
-    RunningJob r;
+    LocalJob& job = jobs_[lj];
+    if (job.start_seq == kNotStarted) job.start_seq = starts_++;
+    std::size_t slot;
+    if (free_slots_.empty()) {
+      slot = runs_.size();
+      runs_.emplace_back();
+      active_pos_.push_back(SIZE_MAX);
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    RunningJob& r = runs_[slot];
     r.local = lj;
     r.alloc = std::move(alloc);
     r.run_start = now;
-    r.remaining = jobs_[lj].remaining;
-    r.watts = jobs_[lj].watts;
+    r.remaining = job.remaining;
+    r.watts = job.watts;
+    r.start_seq = job.start_seq;
     run_watts_ += r.watts;
-    r.active = true;
-    std::size_t slot;
-    if (run_slot_[lj] != SIZE_MAX && !runs_[run_slot_[lj]].active) {
-      slot = run_slot_[lj];
-      r.generation = runs_[slot].generation + 1;
-      runs_[slot] = std::move(r);
-    } else {
-      slot = runs_.size();
-      runs_.push_back(std::move(r));
-      active_pos_.push_back(SIZE_MAX);
-    }
-    run_slot_[lj] = slot;
     active_pos_[slot] = active_slots_.size();
     active_slots_.push_back(slot);
     finishes_.push({now + runs_[slot].remaining, slot, runs_[slot].generation});
@@ -687,7 +693,7 @@ class Shard final : public VcSimulator {
   // Kill every active run holding GPUs on a failing node: the whole gang
   // releases (all-or-nothing placement dies with any of its nodes) and the
   // job requeues under the configured restart semantics. Victims are killed
-  // in ascending slot order — a fixed order, so sharded and serial replays
+  // in first-start order — a fixed order, so sharded and serial replays
   // enqueue requeued jobs identically.
   void kill_runs_on_node(int node, std::int64_t now) {
     std::vector<std::size_t> victims;
@@ -699,14 +705,13 @@ class Shard final : public VcSimulator {
         }
       }
     }
-    std::sort(victims.begin(), victims.end());
+    std::sort(victims.begin(), victims.end(),
+              [&](std::size_t a, std::size_t b) {
+                return runs_[a].start_seq < runs_[b].start_seq;
+              });
     for (std::size_t s : victims) {
-      RunningJob& r = runs_[s];
-      r.active = false;
-      ++r.generation;  // invalidates the pending finish event
-      deactivate(s);
+      const RunningJob& r = stop_run(s);
       state_.release(r.alloc);
-      run_watts_ -= r.watts;
       const std::size_t plj = r.local;
       jobs_[plj].remaining =
           config_->restart == FaultRestart::kResume
@@ -758,7 +763,7 @@ class Shard final : public VcSimulator {
                     const std::int64_t ra = runs_[a].remaining - (now - runs_[a].run_start);
                     const std::int64_t rb = runs_[b].remaining - (now - runs_[b].run_start);
                     if (ra != rb) return ra > rb;
-                    return a < b;  // deterministic tie-break
+                    return runs_[a].start_seq < runs_[b].start_seq;
                   });
         std::vector<std::size_t> freed;
         for (std::size_t s : candidates) {
@@ -769,11 +774,7 @@ class Shard final : public VcSimulator {
         }
         if (alloc) {
           for (std::size_t s : freed) {
-            RunningJob& r = runs_[s];
-            r.active = false;
-            ++r.generation;  // invalidates the pending finish event
-            deactivate(s);
-            run_watts_ -= r.watts;
+            const RunningJob& r = stop_run(s);
             const std::size_t plj = r.local;
             jobs_[plj].remaining =
                 std::max<std::int64_t>(1, r.remaining - (now - r.run_start));
@@ -843,12 +844,13 @@ class Shard final : public VcSimulator {
   Counters counters_;
 
   std::vector<LocalJob> jobs_;
-  std::vector<std::size_t> run_slot_;
+  std::uint32_t starts_ = 0;  ///< jobs started at least once
   PolicyQueue queue_;
   /// GPU demands of every queued job; min() lets a backfill pass bail out
   /// O(1) when nothing queued can possibly fit.
   DemandTracker queued_gpus_;
   std::vector<RunningJob> runs_;
+  std::vector<std::size_t> free_slots_;  ///< stopped runs_, reused LIFO
   std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
       finishes_;
   /// Active-run list (swap-remove): SRTF preemption scans only live runs,

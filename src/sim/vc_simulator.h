@@ -10,8 +10,11 @@
 //
 // Each shard owns a single-VC ClusterState over the VC's nodes, the policy
 // queue, and run slots:
+//  * run slots recycle through a free list, so they number the jobs running
+//    at once; kill victims and SRTF ties are ordered by each job's
+//    first-start sequence number, not by slot;
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
-//    currently running instead of every run slot ever created;
+//    currently running;
 //  * FIFO never reorders, so its queue is a bitmap over arrival order
 //    instead of an ordered set;
 //  * backfill passes keep the minimum queued GPU demand in a multiset and
@@ -37,10 +40,12 @@
 namespace helios::sim {
 
 /// A maximal interval over which a VC's busy-node/GPU counts, powered nodes
-/// and power draw are constant. Shards log these; the orchestrator
-/// integrates them into the cluster-wide series after the parallel phase
-/// (intervals may overhang the bucket window; the integrator clamps). Unlike
-/// the busy counts, `active` and `watts` cover idle stretches too.
+/// and power draw are constant. Shards log these contiguously and in time
+/// order; the orchestrator integrates them into the cluster-wide series after
+/// the parallel phase (intervals may overhang the bucket window; the
+/// integrators clamp) and k-way merges their power edges for the peak series
+/// (sim/peak_power.h). Unlike the busy counts, `active` and `watts` cover
+/// idle stretches too.
 struct BusySegment {
   std::int64_t t0 = 0;
   std::int64_t t1 = 0;

@@ -4,6 +4,8 @@
 // per-VC segment replay relies on).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -73,7 +75,7 @@ TEST(BucketIntegrator, MatchesNaiveReferenceExactly) {
 
   BucketIntegrator acc(begin, end, step);
   for (const auto& iv : intervals) acc.add(iv.t0, iv.t1, iv.value);
-  const auto series = acc.mean_series();
+  const auto series = std::move(acc).mean_series();
   const auto expected = naive_means(begin, end, step, intervals);
 
   ASSERT_EQ(series.values.size(), expected.size());
@@ -117,9 +119,9 @@ TEST(BucketIntegrator, AddOrderDoesNotChangeASingleBit) {
     shuffled.add(intervals[i].t0, intervals[i].t1, intervals[i].value);
   }
 
-  const auto want = forward.mean_series();
-  const auto rev = backward.mean_series();
-  const auto mix = shuffled.mean_series();
+  const auto want = std::move(forward).mean_series();
+  const auto rev = std::move(backward).mean_series();
+  const auto mix = std::move(shuffled).mean_series();
   ASSERT_EQ(rev.values.size(), want.values.size());
   ASSERT_EQ(mix.values.size(), want.values.size());
   for (std::size_t b = 0; b < want.values.size(); ++b) {
@@ -144,9 +146,9 @@ TEST(BucketIntegrator, IntegralsAreExactBucketSums) {
   }
   BucketIntegrator acc(begin, end, step);
   for (const auto& iv : intervals) acc.add(iv.t0, iv.t1, iv.value);
-  const auto sums = acc.integrals();
+  const auto sums = BucketIntegrator(acc).integrals();
   const auto expected = naive_sums(begin, end, step, intervals);
-  const auto means = acc.mean_series();
+  const auto means = std::move(acc).mean_series();
   ASSERT_EQ(sums.size(), expected.size());
   ASSERT_EQ(means.values.size(), expected.size());
   for (std::size_t b = 0; b < expected.size(); ++b) {
@@ -155,11 +157,59 @@ TEST(BucketIntegrator, IntegralsAreExactBucketSums) {
   }
 }
 
+TEST(CountIntegrator, ColumnsMatchBucketIntegratorBitForBit) {
+  // The simulator's merge feeds its three count columns through one
+  // CountIntegrator; each column must equal a BucketIntegrator fed the
+  // same intervals, zero columns included, in forward and reverse order —
+  // with intervals overhanging both ends of an unaligned window.
+  const UnixTime begin = 250;
+  const UnixTime end = 250 + 600 * 40 + 77;
+  const std::int64_t step = 600;
+  Rng rng(3);
+  struct Row {
+    UnixTime t0;
+    UnixTime t1;
+    CountIntegrator::Counts v;
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < 600; ++i) {
+    Row r;
+    r.t0 = static_cast<UnixTime>(rng.uniform_index(600 * 43));
+    r.t1 = r.t0 + static_cast<std::int64_t>(rng.uniform_index(5000)) - 50;
+    for (auto& x : r.v) {
+      x = rng.uniform_index(3) == 0
+              ? 0
+              : static_cast<std::int32_t>(rng.uniform_index(4096));
+    }
+    rows.push_back(r);
+  }
+  CountIntegrator forward(begin, end, step);
+  CountIntegrator backward(begin, end, step);
+  BucketIntegrator cols[3] = {{begin, end, step}, {begin, end, step},
+                              {begin, end, step}};
+  for (const Row& r : rows) {
+    forward.add(r.t0, r.t1, r.v);
+    for (std::size_t c = 0; c < 3; ++c) cols[c].add(r.t0, r.t1, r.v[c]);
+  }
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+    backward.add(it->t0, it->t1, it->v);
+  }
+  const auto fwd = std::move(forward).mean_series();
+  const auto rev = std::move(backward).mean_series();
+  for (std::size_t c = 0; c < 3; ++c) {
+    const auto want = std::move(cols[c]).mean_series();
+    ASSERT_EQ(fwd[c].begin, want.begin);
+    ASSERT_EQ(fwd[c].step, want.step);
+    ASSERT_EQ(fwd[c].values, want.values) << "column " << c;
+    ASSERT_EQ(rev[c].values, want.values) << "column " << c;
+  }
+}
+
 TEST(BucketIntegrator, MinimumOneBucket) {
   BucketIntegrator acc(100, 100, 600);  // empty window still yields a bucket
   EXPECT_EQ(acc.bucket_count(), 1u);
   acc.add(100, 700, 4.0);
-  EXPECT_EQ(acc.mean_series().values[0], 4.0);
+  EXPECT_EQ(std::move(acc).mean_series().values[0], 4.0);
 }
 
 }  // namespace

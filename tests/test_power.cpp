@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/power_model.h"
@@ -164,8 +165,8 @@ TEST(EnergyAccounting, BucketIntegratorIsAddOrderIndependent) {
   for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
     rev.add(std::get<0>(*it), std::get<1>(*it), std::get<2>(*it));
   }
-  const auto a = fwd.mean_series();
-  const auto b = rev.mean_series();
+  const auto a = std::move(fwd).mean_series();
+  const auto b = std::move(rev).mean_series();
   ASSERT_EQ(a.values.size(), b.values.size());
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_EQ(a.values[i], b.values[i]) << "bucket " << i;

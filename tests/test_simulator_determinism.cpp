@@ -10,7 +10,9 @@
 // seeds.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "sim/simulator.h"
@@ -354,6 +356,284 @@ TEST(ShardedDeterminism, NodeOrderPermutationEnergyInvariant) {
         << "vc " << v;
   }
 }
+
+// Golden parity pin: an FNV-1a digest over every SimResult field, bit for
+// bit, on a fixed grid of runs. The expected digests were recorded from the
+// simulator before its post-run merge became a streaming k-way merge; any
+// change to an outcome, a counter, a per-VC stat, a series bucket, the energy
+// or the peak draw changes the digest. Runs use the default kParallel mode,
+// so `./ci.sh threads` checks them at several pool widths.
+class Fnv1a {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ b[i]) * 0x100000001b3ull;
+    }
+  }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    bytes(&u, sizeof u);
+  }
+  void series(const forecast::TimeSeries& s) {
+    i64(s.begin);
+    i64(s.step);
+    i64(static_cast<std::int64_t>(s.values.size()));
+    for (double v : s.values) f64(v);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest(const SimResult& r) {
+  Fnv1a h;
+  h.i64(static_cast<std::int64_t>(r.outcomes.size()));
+  for (const JobOutcome& o : r.outcomes) {
+    h.i64(static_cast<std::int64_t>(o.trace_index));
+    h.i64(o.submit);
+    h.i64(o.start);
+    h.i64(o.end);
+    h.i64(o.gpus);
+    h.i64(o.kills);
+    h.i64(o.vc);
+    h.i64(o.rejected ? 1 : 0);
+  }
+  h.f64(r.avg_jct);
+  h.f64(r.avg_queue_delay);
+  h.i64(r.queued_jobs);
+  h.i64(r.preemptions);
+  h.i64(r.rejected_jobs);
+  h.i64(r.unfinished_jobs);
+  h.i64(r.job_kills);
+  h.i64(r.node_failures);
+  for (const VCStat& v : r.vc_stats) {
+    h.bytes(v.name.data(), v.name.size());
+    h.i64(v.gpus);
+    h.i64(v.jobs);
+    h.f64(v.avg_queue_delay);
+    h.f64(v.avg_jct);
+    h.f64(v.energy_joules);
+  }
+  h.series(r.busy_nodes);
+  h.series(r.busy_gpus);
+  h.series(r.active_nodes);
+  h.series(r.power_watts);
+  h.series(r.peak_power_watts);
+  h.f64(r.energy_joules);
+  h.f64(r.max_power_watts);
+  return h.value();
+}
+
+const Trace& golden_trace(const std::string& cluster) {
+  static std::map<std::string, Trace> cache;
+  auto it = cache.find(cluster);
+  if (it == cache.end()) {
+    auto cfg = trace::GeneratorConfig::helios(trace::helios_cluster(cluster),
+                                              11, 0.05);
+    it = cache.emplace(cluster, trace::SyntheticTraceGenerator(cfg).generate())
+             .first;
+  }
+  return it->second;
+}
+
+enum class GoldenFaults { kNone, kRestart, kResume };
+
+struct GoldenCase {
+  std::string cluster;
+  SchedulerPolicy policy;
+  bool backfill;
+  GoldenFaults faults;
+  bool capped;  ///< binding cap plus non-integer per-job GPU draws
+};
+
+std::string golden_name(const GoldenCase& c) {
+  std::string name = c.cluster + std::string(to_string(c.policy));
+  if (c.backfill) name += "Backfill";
+  if (c.faults == GoldenFaults::kRestart) name += "Restart";
+  if (c.faults == GoldenFaults::kResume) name += "Resume";
+  if (c.capped) name += "Capped";
+  return name;
+}
+
+SimResult run_golden(const GoldenCase& c) {
+  const Trace& t = golden_trace(c.cluster);
+  SimConfig cfg;
+  cfg.policy = c.policy;
+  cfg.backfill = c.backfill;
+  if (c.policy == SchedulerPolicy::kQssf) {
+    cfg.priority_fn = [](const trace::JobRecord& j) {
+      return static_cast<double>(j.duration) * j.num_gpus;
+    };
+  }
+  if (c.capped) {
+    cfg.power_cap_watts = binding_cap(t.cluster());
+    // Non-integer draws: the power series, energy and peaks then depend on
+    // the accumulation order, which the digest pins.
+    cfg.gpu_watts_fn = [](const trace::JobRecord& j) {
+      return 212.5 + 0.37 * static_cast<double>(j.duration % 97) +
+             0.1 * static_cast<double>(j.num_gpus);
+    };
+  }
+  FaultPlan plan;
+  if (c.faults != GoldenFaults::kNone) {
+    FaultPlanConfig fp;
+    fp.mtbf_days = 10.0;
+    fp.flaky_fraction = 0.25;
+    fp.seed = 5;
+    const auto& jobs = t.jobs();
+    plan = FaultPlan::generate(t.cluster(), fp, jobs.front().submit_time,
+                               jobs.back().submit_time + 14 * 86400);
+    cfg.fault_plan = &plan;
+    cfg.restart = c.faults == GoldenFaults::kResume ? FaultRestart::kResume
+                                                    : FaultRestart::kRestart;
+  }
+  return ClusterSimulator(t.cluster(), cfg).run(t);
+}
+
+const std::map<std::string, std::uint64_t>& golden_digests() {
+  static const std::map<std::string, std::uint64_t> kDigests = {
+      {"VenusFIFO", 0x9703ce04b873e3a8ull},
+      {"VenusFIFOCapped", 0x3905a8509658672cull},
+      {"VenusFIFORestart", 0x3c0511b649b31a9bull},
+      {"VenusFIFORestartCapped", 0xdde2577b4b7767b1ull},
+      {"VenusFIFOResume", 0xfffbbc42500dfffeull},
+      {"VenusFIFOResumeCapped", 0x9b415f87e66ea577ull},
+      {"VenusFIFOBackfill", 0xbc81e688cab14c5cull},
+      {"VenusFIFOBackfillCapped", 0xfabbb119ec66d5eull},
+      {"VenusFIFOBackfillRestart", 0xe6f8b76568477edbull},
+      {"VenusFIFOBackfillRestartCapped", 0xf6b3fdebd3f8ef5aull},
+      {"VenusFIFOBackfillResume", 0x50dfcb98116768a7ull},
+      {"VenusFIFOBackfillResumeCapped", 0x155534bf0be345fcull},
+      {"VenusSJF", 0x72da64d6fdb2701ull},
+      {"VenusSJFCapped", 0x4ae3831929eb5a0bull},
+      {"VenusSJFRestart", 0xecbfc03981cd9c9dull},
+      {"VenusSJFRestartCapped", 0xd47f9e643d4e8c22ull},
+      {"VenusSJFResume", 0x3ae92da0875146a7ull},
+      {"VenusSJFResumeCapped", 0xfd9d7e7c2c7b8f5eull},
+      {"VenusSJFBackfill", 0x937c371f1bd63629ull},
+      {"VenusSJFBackfillCapped", 0xe005257bb65b84eeull},
+      {"VenusSJFBackfillRestart", 0x8eb8750fcdbeb904ull},
+      {"VenusSJFBackfillRestartCapped", 0xb4e0398bf5c7935cull},
+      {"VenusSJFBackfillResume", 0xf6d8a6f1eabcab7cull},
+      {"VenusSJFBackfillResumeCapped", 0x44aee681f466da86ull},
+      {"VenusSRTF", 0x5b215080b42df93bull},
+      {"VenusSRTFCapped", 0x4ae3831929eb5a0bull},
+      {"VenusSRTFRestart", 0xbd4c70a48ddc7f66ull},
+      {"VenusSRTFRestartCapped", 0x4e06b79c1ca5bb1bull},
+      {"VenusSRTFResume", 0x8ad538cdecdeb0c2ull},
+      {"VenusSRTFResumeCapped", 0x79ef3430db5f0c11ull},
+      {"VenusSRTFBackfill", 0x398db0d97ab191bfull},
+      {"VenusSRTFBackfillCapped", 0xe005257bb65b84eeull},
+      {"VenusSRTFBackfillRestart", 0xbaf46e3db9f75e44ull},
+      {"VenusSRTFBackfillRestartCapped", 0x6236ccfb05194228ull},
+      {"VenusSRTFBackfillResume", 0x4c8dbeeb086c348eull},
+      {"VenusSRTFBackfillResumeCapped", 0x1d7f5e6b6e3e3543ull},
+      {"VenusQSSF", 0x21e1ba2ccb365104ull},
+      {"VenusQSSFCapped", 0xdcecc6e23edc2559ull},
+      {"VenusQSSFRestart", 0x12ac991ee7aa1fd8ull},
+      {"VenusQSSFRestartCapped", 0x2445ede088852e60ull},
+      {"VenusQSSFResume", 0x85591a3b0730e1fbull},
+      {"VenusQSSFResumeCapped", 0x8e20d02f35c48e76ull},
+      {"VenusQSSFBackfill", 0x8aee25a556bdd653ull},
+      {"VenusQSSFBackfillCapped", 0x91fbb9439dca38d5ull},
+      {"VenusQSSFBackfillRestart", 0x7bb7639e9abbccc1ull},
+      {"VenusQSSFBackfillRestartCapped", 0x4f3115adf02b9843ull},
+      {"VenusQSSFBackfillResume", 0x52bbc7f18ba53dfdull},
+      {"VenusQSSFBackfillResumeCapped", 0x88b5ad5e30e2e908ull},
+      {"EarthFIFO", 0x7ef561499ebae4ebull},
+      {"EarthFIFOCapped", 0xb245a7bb66fde23ull},
+      {"EarthFIFORestart", 0xe8009b6ab5fabb18ull},
+      {"EarthFIFORestartCapped", 0xd3a8ce912f28f828ull},
+      {"EarthFIFOResume", 0x667218825e3ad776ull},
+      {"EarthFIFOResumeCapped", 0x5f82c1070d6caba6ull},
+      {"EarthFIFOBackfill", 0xd4849cda6fee1411ull},
+      {"EarthFIFOBackfillCapped", 0x37449f7cfc762122ull},
+      {"EarthFIFOBackfillRestart", 0x1cdca4cc36012146ull},
+      {"EarthFIFOBackfillRestartCapped", 0x4d27c411f721eac1ull},
+      {"EarthFIFOBackfillResume", 0x85a872e085fd419cull},
+      {"EarthFIFOBackfillResumeCapped", 0x5f7bfe26e4d91b4eull},
+      {"EarthSJF", 0xfa128e2c130edab5ull},
+      {"EarthSJFCapped", 0xf4d17d2fe31c4220ull},
+      {"EarthSJFRestart", 0x3d95531490a8e881ull},
+      {"EarthSJFRestartCapped", 0xdc9854f6b4195cb1ull},
+      {"EarthSJFResume", 0x3c74f5c62d11265cull},
+      {"EarthSJFResumeCapped", 0x4a4c942ae8a23474ull},
+      {"EarthSJFBackfill", 0x872e1f8a6be84b20ull},
+      {"EarthSJFBackfillCapped", 0xe08c727cdbe7385aull},
+      {"EarthSJFBackfillRestart", 0x10a7a9524978907ull},
+      {"EarthSJFBackfillRestartCapped", 0x81547c28b918760full},
+      {"EarthSJFBackfillResume", 0x85da049086d78df1ull},
+      {"EarthSJFBackfillResumeCapped", 0x44c2eeda4a1febcdull},
+      {"EarthSRTF", 0x5d0923fc98a47929ull},
+      {"EarthSRTFCapped", 0xf4d17d2fe31c4220ull},
+      {"EarthSRTFRestart", 0xa65f994353b2f3aaull},
+      {"EarthSRTFRestartCapped", 0x7c33069394454ca6ull},
+      {"EarthSRTFResume", 0x81e9a07b7c40ae1cull},
+      {"EarthSRTFResumeCapped", 0x40ff8d2551b21ec2ull},
+      {"EarthSRTFBackfill", 0x91385bf08647acdull},
+      {"EarthSRTFBackfillCapped", 0xe08c727cdbe7385aull},
+      {"EarthSRTFBackfillRestart", 0xac8e5ca7a5c450deull},
+      {"EarthSRTFBackfillRestartCapped", 0xa63bdda3dcdf76aeull},
+      {"EarthSRTFBackfillResume", 0x759d1211fc723367ull},
+      {"EarthSRTFBackfillResumeCapped", 0xe0976901be316d5ull},
+      {"EarthQSSF", 0xdd0fd13feca76f74ull},
+      {"EarthQSSFCapped", 0x77a916576c479498ull},
+      {"EarthQSSFRestart", 0x764106f79f95eb86ull},
+      {"EarthQSSFRestartCapped", 0xc40d5eee1b8c6ecaull},
+      {"EarthQSSFResume", 0xce392b9031ebffd7ull},
+      {"EarthQSSFResumeCapped", 0x1db70677e70367feull},
+      {"EarthQSSFBackfill", 0x3c6d5c236e4953b3ull},
+      {"EarthQSSFBackfillCapped", 0x6c58aa28908c51b3ull},
+      {"EarthQSSFBackfillRestart", 0x541d6cd7511291f2ull},
+      {"EarthQSSFBackfillRestartCapped", 0xfcc86b140d530e97ull},
+      {"EarthQSSFBackfillResume", 0xff38c953d486d4bdull},
+      {"EarthQSSFBackfillResumeCapped", 0xc1cc27e8f4ea361full},
+  };
+  return kDigests;
+}
+
+class GoldenDigestTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenDigestTest, SimResultMatchesRecordedDigest) {
+  const GoldenCase c = GetParam();
+  const std::string name = golden_name(c);
+  const std::uint64_t got = digest(run_golden(c));
+  const auto it = golden_digests().find(name);
+  ASSERT_NE(it, golden_digests().end())
+      << "no recorded digest: {\"" << name << "\", 0x" << std::hex << got
+      << "ull},";
+  EXPECT_EQ(it->second, got) << name << " digest 0x" << std::hex << got;
+}
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  for (const char* cluster : {"Venus", "Earth"}) {
+    for (const SchedulerPolicy policy :
+         {SchedulerPolicy::kFifo, SchedulerPolicy::kSjf,
+          SchedulerPolicy::kSrtf, SchedulerPolicy::kQssf}) {
+      for (const bool backfill : {false, true}) {
+        for (const GoldenFaults faults :
+             {GoldenFaults::kNone, GoldenFaults::kRestart,
+              GoldenFaults::kResume}) {
+          for (const bool capped : {false, true}) {
+            cases.push_back({cluster, policy, backfill, faults, capped});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(PoliciesBackfillFaultsCaps, GoldenDigestTest,
+                         ::testing::ValuesIn(golden_cases()),
+                         [](const auto& info) {
+                           return golden_name(info.param);
+                         });
 
 // A hand-built multi-VC trace with same-timestamp arrivals and finishes in
 // different VCs: the classic race surface for a sharded event loop.
