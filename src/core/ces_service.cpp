@@ -12,6 +12,18 @@ namespace helios::core {
 
 using trace::Trace;
 
+namespace {
+
+/// Facility energy per server joule: the server plus twice as much again for
+/// cooling (paper §4.3.3), so every server-watt saved is worth ~3.
+constexpr double kFacilityFactor = 3.0;
+
+/// The replay's node draw: sim_config() leaves SimConfig::power_profile at
+/// its default, so a sleeping node saves (800 - 0) W.
+constexpr PowerProfile kReplayPower{};
+
+}  // namespace
+
 DrsController::DrsController(const CesConfig& config,
                              const forecast::Forecaster& model,
                              const Trace& eval, forecast::TimeSeries history,
@@ -170,8 +182,12 @@ CesResult DrsController::summarize(const sim::SimResult& run) const {
                 static_cast<double>(result.wakeup_events)
           : 0.0;
   result.node_util_ces = active_sum > 0.0 ? busy_sum / active_sum : 0.0;
-  result.saved_kwh = config_.power.saved_kwh(sleeping_node_seconds);
-  result.annualized_kwh = config_.power.annualized_kwh(result.saved_kwh, span_days);
+  const double saved_watts =
+      kReplayPower.idle_node_watts - kReplayPower.sleep_node_watts;
+  result.saved_kwh =
+      sleeping_node_seconds / 3600.0 * (saved_watts / 1000.0) * kFacilityFactor;
+  result.annualized_kwh =
+      span_days > 0.0 ? result.saved_kwh * 365.0 / span_days : 0.0;
   result.forecast_smape = stats::smape(actual_, predicted_);
   return result;
 }

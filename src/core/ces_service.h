@@ -39,7 +39,6 @@ struct CesConfig {
   std::int64_t future_window = 3 * 3600;  ///< T_P horizon (3 h)
   std::int64_t series_step = 600;         ///< node-series resolution
   bool vanilla_drs = false;               ///< baseline: no trend conditions
-  PowerModel power;
 };
 
 /// Everything Figure 14/15 and Table 5 need.
@@ -80,6 +79,8 @@ class DrsController final : public sim::PowerController {
 
   /// The CES figures of `run`, the simulator run this controller drove —
   /// every field but node_util_original, which needs the always-on run.
+  /// Sleeping node-seconds save the default PowerProfile's (idle - sleep)
+  /// node watts (the profile sim_config() leaves), tripled for cooling.
   [[nodiscard]] CesResult summarize(const sim::SimResult& run) const;
 
   void on_arrival(sim::VcSimulator& shard, const sim::JobOutcome& job,

@@ -1,17 +1,14 @@
 // Datacenter power/energy accounting (paper §4.3.3 and beyond).
 //
-// Two layers:
-//  * PowerModel — the paper's node-count bookkeeping: an idle DGX-1 class
-//    server draws ~800 W (read from the BMC PSU inputs), and datacenter
-//    cooling consumes about twice the server energy, so every server-watt
-//    saved is worth ~3 facility-watts. The CES service reports savings
-//    through this.
-//  * PowerProfile — per-node/per-job draw for the simulator's energy
-//    accounting (sim/simulator.h): a node's baseline draw is a function of
-//    its power state (idle/boot/sleep/failed watts) and every allocated GPU
-//    adds a per-GPU draw on top, so cluster power is a piecewise-constant
-//    function of the schedule. Per-job draws (jobs whose kernels pull more
-//    or less than the default) come from sim::SimConfig::gpu_watts_fn.
+// PowerProfile is the per-node/per-job draw behind the simulator's energy
+// accounting (sim/simulator.h): a node's baseline draw is a function of its
+// power state (idle/boot/sleep/failed watts) and every allocated GPU adds a
+// per-GPU draw on top, so cluster power is a piecewise-constant function of
+// the schedule. The idle default is the paper's measurement of an idle DGX-1
+// class server (~800 W from the BMC PSU inputs); CES prices the node-seconds
+// it keeps asleep at idle minus sleep watts (core/ces_service.h). Per-job
+// draws (jobs whose kernels pull more or less than the default) come from
+// sim::SimConfig::gpu_watts_fn.
 //
 // Keep profile watts integer-valued where bit-exact accounting matters: the
 // simulator's energy sums and power series are then exact integer-valued
@@ -19,24 +16,6 @@
 #pragma once
 
 namespace helios::core {
-
-struct PowerModel {
-  double idle_node_watts = 800.0;
-  /// Facility multiplier: server + 2x cooling.
-  double facility_factor = 3.0;
-
-  /// Energy saved by keeping nodes asleep for the given node-seconds,
-  /// in kWh (includes the cooling share).
-  [[nodiscard]] double saved_kwh(double sleeping_node_seconds) const noexcept {
-    return sleeping_node_seconds / 3600.0 * (idle_node_watts / 1000.0) *
-           facility_factor;
-  }
-
-  /// Extrapolate a measured saving over `measured_days` to a full year.
-  [[nodiscard]] double annualized_kwh(double kwh, double measured_days) const noexcept {
-    return measured_days > 0.0 ? kwh * 365.0 / measured_days : 0.0;
-  }
-};
 
 /// Per-node and per-GPU draw used by the simulator's energy accounting.
 /// Homogeneous across nodes (the clusters' VCs are hardware-uniform);

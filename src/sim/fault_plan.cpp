@@ -172,6 +172,13 @@ void FaultPlan::load(serialize::Reader& r) {
   const UnixTime begin = s.i64();
   const UnixTime end = s.i64();
   const std::uint32_t n_vcs = s.u32();
+  // Each VC carries at least its two u64 counts: reject a hostile VC count
+  // before it sizes the per-VC vectors.
+  if (n_vcs > s.remaining() / 16) {
+    throw serialize::Error(serialize::ErrorCode::kTruncated,
+                           "fault plan declares " + std::to_string(n_vcs) +
+                               " vcs beyond the remaining payload");
+  }
   std::vector<std::vector<NodeFaultEvent>> events(n_vcs);
   std::vector<std::vector<char>> flaky(n_vcs);
   std::size_t failures = 0;

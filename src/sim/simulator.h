@@ -2,25 +2,22 @@
 //
 // Reproduces the evaluation methodology of §4.2.3: jobs flow through
 // arrival -> per-VC queue -> gang placement -> completion, with no
-// cross-VC sharing (backfill is opt-in). Six policies:
+// cross-VC sharing (backfill is opt-in). The paper's four policies are
+// queue orderings:
 //   * kFifo — submission order (the paper's production baseline),
 //   * kSjf  — oracle shortest-job-first, non-preemptive,
 //   * kSrtf — oracle shortest-remaining-time-first with free preemption,
 //   * kQssf — Quasi-Shortest-Service-First: jobs ordered by *predicted* GPU
-//             time supplied by a PriorityFn (see core/qssf_service.h),
-//   * kPowerCap    — FIFO order with budget-constrained admission: the head
-//                    waits while its projected power draw would push the VC
-//                    over its share of SimConfig::power_cap_watts,
-//   * kEnergyQssf  — energy-aware QSSF: jobs ordered by *predicted energy*
-//                    (predicted GPU time × the job's per-GPU draw), so
-//                    cheap-to-run jobs clear the queue first.
+//             time supplied by a PriorityFn (see core/qssf_service.h); an
+//             energy-weighted ordering is a PriorityFn too (predicted GPU
+//             time × the job's per-GPU watts).
 //
 // Energy accounting is always on: every run carries a core::PowerProfile
 // (idle/boot/sleep/failed node watts + per-GPU draw, overridable per job via
 // SimConfig::gpu_watts_fn) and SimResult reports cumulative energy, mean and
 // per-bucket-peak power series, and per-VC energy. Setting
 // SimConfig::power_cap_watts > 0 additionally turns on budget-constrained
-// admission for *every* policy — no placement (head start, SRTF
+// admission, a gate under *every* policy — no placement (head start, SRTF
 // preemption-start, or backfill) may exceed the VC's capacity-proportional
 // share of the cap; backfill under a cap is power-proportional: candidates
 // start only while the projected draw stays under the cap.
@@ -52,22 +49,19 @@ enum class SchedulerPolicy {
   kSjf,
   kSrtf,
   kQssf,
-  kPowerCap,    ///< FIFO order + budget-constrained power admission
-  kEnergyQssf,  ///< QSSF ordered by predicted energy (GPU time × watts)
 };
 
 [[nodiscard]] std::string_view to_string(SchedulerPolicy p) noexcept;
 
-/// All six policies in declaration order — the policy axis a scenario sweep
+/// All four policies in declaration order — the policy axis a scenario sweep
 /// iterates (sweep/scenario.h).
 [[nodiscard]] std::span<const SchedulerPolicy> all_policies() noexcept;
 
-/// Parse "FIFO" / "SJF" / "SRTF" / "QSSF" / "POWERCAP" / "EQSSF"
+/// Parse "FIFO" / "SJF" / "SRTF" / "QSSF"
 /// (case-insensitive). Throws std::invalid_argument on anything else.
 [[nodiscard]] SchedulerPolicy policy_from_string(std::string_view name);
 
-/// Priority for kQssf/kEnergyQssf: expected GPU time of the job; lower runs
-/// first (kEnergyQssf multiplies it by the job's per-GPU draw). Called
+/// Priority for kQssf: expected GPU time of the job; lower runs first. Called
 /// concurrently from VC shards under common::ExecMode::kParallel, so it must
 /// be thread-safe (pure functions and const lookups are).
 using PriorityFn = std::function<double(const trace::JobRecord&)>;
@@ -158,8 +152,7 @@ struct SimConfig {
   /// capacity-proportional share (cap × VC GPUs / cluster GPUs): no VC ever
   /// exceeds its share, hence the cluster never exceeds the cap. With the
   /// cap set, every policy's placements are power-gated and backfill becomes
-  /// power-proportional (kPowerCap is FIFO ordering with this gate as its
-  /// defining behaviour).
+  /// power-proportional.
   double power_cap_watts = 0.0;
 };
 

@@ -144,8 +144,7 @@ class OrderedBitmap {
 class PolicyQueue {
  public:
   PolicyQueue(SchedulerPolicy policy, bool backfill)
-      : backend_(policy == SchedulerPolicy::kFifo ||
-                         policy == SchedulerPolicy::kPowerCap
+      : backend_(policy == SchedulerPolicy::kFifo
                      ? Backend::kBitmap
                      : (backfill ? Backend::kSet : Backend::kHeap)) {}
 
@@ -343,8 +342,7 @@ class Shard final : public VcSimulator {
         outcomes_(&outcomes),
         n_(arrivals.size()),
         srtf_(config.policy == SchedulerPolicy::kSrtf),
-        fifo_(config.policy == SchedulerPolicy::kFifo ||
-              config.policy == SchedulerPolicy::kPowerCap),
+        fifo_(config.policy == SchedulerPolicy::kFifo),
         queue_(config.policy, config.backfill),
         seg_start_(window_begin),
         seg_active_(state_.active_nodes()),
@@ -529,31 +527,25 @@ class Shard final : public VcSimulator {
 
   // Dense local copies of the fields the loop touches per event, built on
   // the first advance so priority_fn / gpu_watts_fn run on the shard's
-  // worker. `per_gpu_watts` is the job's running draw per GPU;
-  // `base_priority` folds it into kEnergyQssf's predicted-energy ordering
-  // (predicted GPU time × per-GPU watts = predicted joules).
+  // worker. `per_gpu_watts` is the job's running draw per GPU, which bills
+  // its energy.
   void build_jobs() {
     started_ = true;
     auto per_gpu_watts = [&](const JobRecord& j) -> double {
       return config_->gpu_watts_fn ? config_->gpu_watts_fn(j)
                                    : config_->power_profile.gpu_watts;
     };
-    auto base_priority = [&](const JobRecord& j, double gpu_watts) -> double {
+    auto base_priority = [&](const JobRecord& j) -> double {
       switch (config_->policy) {
         case SchedulerPolicy::kFifo:
-        case SchedulerPolicy::kPowerCap:
           return 0.0;  // submit-time tie-break gives FIFO order
         case SchedulerPolicy::kSjf:
         case SchedulerPolicy::kSrtf:
           return static_cast<double>(j.duration);
         case SchedulerPolicy::kQssf:
-        case SchedulerPolicy::kEnergyQssf: {
-          const double gpu_time = config_->priority_fn
-                                      ? config_->priority_fn(j)
-                                      : static_cast<double>(j.duration) * j.num_gpus;
-          return config_->policy == SchedulerPolicy::kQssf ? gpu_time
-                                                           : gpu_time * gpu_watts;
-        }
+          return config_->priority_fn
+                     ? config_->priority_fn(j)
+                     : static_cast<double>(j.duration) * j.num_gpus;
       }
       return 0.0;
     };
@@ -567,9 +559,8 @@ class Shard final : public VcSimulator {
       job.remaining = job.total;
       job.trace_index = o.trace_index;
       job.gpus = o.gpus;
-      const double gw = per_gpu_watts(j);
-      job.watts = gw * j.num_gpus;
-      job.priority = base_priority(j, gw);
+      job.watts = per_gpu_watts(j) * j.num_gpus;
+      job.priority = base_priority(j);
     }
     queue_.init(n_);
     queued_gpus_.init(state_.capacity_gpus(0));

@@ -71,11 +71,10 @@ sim::SimConfig ScenarioEngine::cell_config(const ScenarioSpec& spec,
   cfg.restart = spec.fault.restart;
   cfg.power_profile = spec.power.profile;
   cfg.power_cap_watts = spec.power.cap_watts;
-  if (spec.policy == sim::SchedulerPolicy::kQssf ||
-      spec.policy == sim::SchedulerPolicy::kEnergyQssf) {
+  if (spec.policy == sim::SchedulerPolicy::kQssf) {
     if (!config_.priority_provider) {
       throw std::invalid_argument(
-          "ScenarioEngine: grid contains a kQssf/kEnergyQssf cell but "
+          "ScenarioEngine: grid contains a kQssf cell but "
           "EngineConfig::priority_provider is unset: " +
           spec.label());
     }

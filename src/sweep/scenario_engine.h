@@ -33,8 +33,7 @@
 
 namespace helios::sweep {
 
-/// Supplies the sim::PriorityFn for a kQssf or kEnergyQssf cell (e.g. a
-/// trained
+/// Supplies the sim::PriorityFn for a kQssf cell (e.g. a trained
 /// core::OnlinePriorityEvaluator's as_priority_fn()). Called serially in cell
 /// order before the fan-out; the returned function is invoked concurrently
 /// from VC shards and cells, so it must be thread-safe.
@@ -50,8 +49,7 @@ struct EngineConfig {
   common::ExecMode execution = common::ExecMode::kParallel;
   /// Resolution of each cell's busy-nodes/GPUs series.
   std::int64_t series_step = 600;
-  /// Required when the grid contains kQssf or kEnergyQssf cells (kEnergyQssf
-  /// weights the provided GPU-time prediction by the job's per-GPU draw).
+  /// Required when the grid contains kQssf cells.
   PriorityProvider priority_provider;
 };
 

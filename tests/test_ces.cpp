@@ -169,7 +169,21 @@ TEST(CesService, SleepAccountingIsClippedToTheWindow) {
   EXPECT_NEAR(r.avg_drs_nodes, r.total_nodes - mean_active, 1e-9);
   // Two nodes asleep from the first check (600 s) to the end (3600 s).
   EXPECT_NEAR(r.avg_drs_nodes, 2.0 * 3000.0 / 3600.0, 1e-9);
-  EXPECT_NEAR(r.saved_kwh, cfg.power.saved_kwh(2.0 * 3000.0), 1e-9);
+  // 6000 sleeping node-s at the default profile's (800 - 0) W, tripled for
+  // cooling: 6000 / 3600 h × 0.8 kW × 3 = 4.0 kWh over a 1/24-day window.
+  EXPECT_NEAR(r.saved_kwh, 4.0, 1e-9);
+  EXPECT_NEAR(r.annualized_kwh, 4.0 * 365.0 * 24.0, 1e-6);
+
+  // An empty window (begin == end) spans zero days: the per-day figures are
+  // 0, not 0 / 0.
+  auto model = naive_model();
+  model->fit(history);
+  const Trace eval = t.between(begin, begin);
+  DrsController empty(cfg, *model, eval, history, begin, begin);
+  const auto z = empty.summarize(sim::SimResult{});
+  EXPECT_EQ(z.saved_kwh, 0.0);
+  EXPECT_EQ(z.annualized_kwh, 0.0);
+  EXPECT_EQ(z.daily_wakeups, 0.0);
 }
 
 // Every CesResult field bit for bit, except node_util_original (the
@@ -265,14 +279,6 @@ TEST(Framework, RegisterFindUpdate) {
   fw.update_all(t);
   EXPECT_EQ(svc.updates, 2);
   EXPECT_EQ(fw.cluster_name(), "Earth");
-}
-
-TEST(PowerModel, Arithmetic) {
-  PowerModel p;
-  // One node asleep for one hour saves 0.8 kWh * 3 (cooling included).
-  EXPECT_NEAR(p.saved_kwh(3600.0), 2.4, 1e-9);
-  EXPECT_NEAR(p.annualized_kwh(100.0, 36.5), 1000.0, 1e-9);
-  EXPECT_DOUBLE_EQ(p.annualized_kwh(100.0, 0.0), 0.0);
 }
 
 }  // namespace

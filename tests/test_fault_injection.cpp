@@ -171,6 +171,54 @@ TEST(FaultPlan, SaveLoadRoundTripsAndRejectsCorruption) {
   }
 }
 
+// A hand-built FPLN section: the plan header, then `n_vcs` and the
+// `vc_bytes` of per-VC payload that follow it.
+std::vector<std::uint8_t> fault_plan_section(std::uint32_t n_vcs,
+                                             std::size_t vc_bytes) {
+  serialize::Writer w;
+  w.begin_section(serialize::fourcc("FPLN"));
+  w.u32(1);  // version
+  w.f64(30.0);
+  w.f64(0.1);
+  w.f64(4.0);
+  w.i64(3600);
+  w.i64(600);
+  w.u64(7);
+  w.i64(0);  // begin
+  w.i64(86400);  // end
+  w.u32(n_vcs);
+  for (std::size_t i = 0; i < vc_bytes; ++i) w.u8(0);
+  w.end_section();
+  return w.buffer();
+}
+
+TEST(FaultPlan, LoadRejectsAHostileVcCountBeforeAllocating) {
+  // 16 zero bytes are one VC with no nodes and no events.
+  {
+    const auto bytes = fault_plan_section(1, 16);
+    serialize::Reader r(bytes);
+    FaultPlan loaded;
+    loaded.load(r);
+    ASSERT_EQ(loaded.vc_count(), 1);
+    EXPECT_TRUE(loaded.vc_events(0).empty());
+  }
+  // Each VC needs at least 16 payload bytes, so a count past remaining / 16
+  // is rejected as truncated — up to 0xFFFFFFFF, which would otherwise size
+  // two vectors of four billion entries each.
+  for (const std::uint32_t n_vcs : {2u, 0xFFFFFFFFu}) {
+    const auto bytes = fault_plan_section(n_vcs, 16);
+    serialize::Reader r(bytes);
+    FaultPlan loaded;
+    try {
+      loaded.load(r);
+      ADD_FAILURE() << "accepted " << n_vcs << " vcs";
+    } catch (const serialize::Error& e) {
+      EXPECT_EQ(e.code(), serialize::ErrorCode::kTruncated) << e.what();
+    }
+    EXPECT_EQ(loaded.vc_count(), 0);  // a failed load leaves the plan empty
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ClusterState fail/recover
 // ---------------------------------------------------------------------------

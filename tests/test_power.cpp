@@ -1,16 +1,17 @@
-// Energy accounting and the energy-aware policy family, end to end: the
-// PowerProfile arithmetic, hand-computed energy/power outputs of single runs,
-// the energy-conservation property (per-VC energies sum exactly to the
-// cluster energy; the bucket integrator is add-order independent), the
-// cap-is-respected invariant across all policies × backfill × seeds, the
-// budget-constrained admission / power-proportional backfill semantics on
-// hand-built traces, predicted-energy ordering of kEnergyQssf, and
-// serial-vs-sharded bit-parity of every new counter through
-// sweep::results_identical.
+// Energy accounting and power-gated admission, end to end: the PowerProfile
+// arithmetic, the four-ordering policy registry, hand-computed energy/power
+// outputs of single runs, the energy-conservation property (per-VC energies
+// sum exactly to the cluster energy; the bucket integrator is add-order
+// independent), the cap-is-respected invariant across all policies ×
+// backfill × seeds, the budget-constrained admission / power-proportional
+// backfill semantics on hand-built traces, predicted-energy ordering as a
+// QSSF priority_fn, and serial-vs-sharded bit-parity of every new counter
+// through sweep::results_identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -65,15 +66,16 @@ TEST(PowerProfile, BaselineWattsBillsEveryPowerState) {
   EXPECT_EQ(core::PowerProfile{}, core::PowerProfile{});
 }
 
-TEST(PowerPolicies, RegistryRoundTripsTheEnergyFamily) {
-  EXPECT_EQ(all_policies().size(), 6u);
-  EXPECT_EQ(to_string(SchedulerPolicy::kPowerCap), "POWERCAP");
-  EXPECT_EQ(to_string(SchedulerPolicy::kEnergyQssf), "EQSSF");
-  EXPECT_EQ(policy_from_string("powercap"), SchedulerPolicy::kPowerCap);
-  EXPECT_EQ(policy_from_string("EQSSF"), SchedulerPolicy::kEnergyQssf);
+TEST(PowerPolicies, RegistryHoldsThePapersFourOrderings) {
+  EXPECT_EQ(all_policies().size(), 4u);
   for (SchedulerPolicy p : all_policies()) {
     EXPECT_EQ(policy_from_string(to_string(p)), p);
   }
+  EXPECT_EQ(policy_from_string("qssf"), SchedulerPolicy::kQssf);
+  // A power cap is an admission gate (SimConfig::power_cap_watts) and energy
+  // weighting a priority_fn, not orderings of their own.
+  EXPECT_THROW((void)policy_from_string("POWERCAP"), std::invalid_argument);
+  EXPECT_THROW((void)policy_from_string("EQSSF"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +140,7 @@ TEST(EnergyAccounting, PerVcEnergiesSumToClusterEnergyOnRealWorkloads) {
   const Trace t = trace::SyntheticTraceGenerator(cfg_gen).generate();
   for (SchedulerPolicy policy :
        {SchedulerPolicy::kFifo, SchedulerPolicy::kSrtf,
-        SchedulerPolicy::kPowerCap}) {
+        SchedulerPolicy::kQssf}) {
     SimConfig cfg;
     cfg.policy = policy;
     cfg.backfill = true;
@@ -192,8 +194,7 @@ TEST(PowerCap, AdmissionDelaysWorkAndCutsInWindowEnergy) {
   // Window [0, 101): baseline 1600 × 101 + two jobs × 2400 × 100.
   EXPECT_EQ(uncapped.energy_joules, 1600.0 * 101 + 2 * 2400.0 * 100);
 
-  cfg.policy = SchedulerPolicy::kPowerCap;
-  cfg.power_cap_watts = 4500.0;
+  cfg.power_cap_watts = 4500.0;  // FIFO ordering, power-gated admission
   const SimResult capped = ClusterSimulator(spec, cfg).run(t);
   EXPECT_EQ(capped.outcomes[0].start, 0);
   EXPECT_EQ(capped.outcomes[1].start, 100);  // waited for power headroom
@@ -206,15 +207,14 @@ TEST(PowerCap, AdmissionDelaysWorkAndCutsInWindowEnergy) {
   EXPECT_GT(capped.avg_jct, uncapped.avg_jct);
 }
 
-TEST(PowerCap, GateAppliesToEveryPolicyNotJustPowerCap) {
+TEST(PowerCap, GateAppliesToEveryPolicy) {
   const auto spec = one_vc_spec(2);
   const auto t = make_trace(spec, {{0, 100, 8, "vc0"}, {0, 100, 8, "vc0"}});
   for (SchedulerPolicy policy : all_policies()) {
     SimConfig cfg;
     cfg.policy = policy;
     cfg.power_cap_watts = 4500.0;
-    if (policy == SchedulerPolicy::kQssf ||
-        policy == SchedulerPolicy::kEnergyQssf) {
+    if (policy == SchedulerPolicy::kQssf) {
       cfg.priority_fn = [](const trace::JobRecord& j) {
         return static_cast<double>(j.duration) * j.num_gpus;
       };
@@ -232,8 +232,7 @@ TEST(PowerCap, BackfillIsPowerProportional) {
   const auto t = make_trace(
       spec, {{0, 100, 8, "vc0"}, {0, 100, 8, "vc0"}, {0, 50, 1, "vc0"}});
 
-  SimConfig cfg;
-  cfg.policy = SchedulerPolicy::kPowerCap;
+  SimConfig cfg;  // FIFO
   cfg.power_cap_watts = 4500.0;
   const SimResult head_of_line = ClusterSimulator(spec, cfg).run(t);
   EXPECT_EQ(head_of_line.outcomes[2].start, 100);  // stuck behind blocked B
@@ -281,8 +280,7 @@ TEST(PowerCap, CapIsRespectedAcrossPoliciesBackfillSeeds) {
         cfg.policy = policy;
         cfg.backfill = backfill;
         cfg.power_cap_watts = cap;
-        if (policy == SchedulerPolicy::kQssf ||
-            policy == SchedulerPolicy::kEnergyQssf) {
+        if (policy == SchedulerPolicy::kQssf) {
           cfg.priority_fn = [](const trace::JobRecord& j) {
             return static_cast<double>(j.duration) * j.num_gpus;
           };
@@ -305,14 +303,14 @@ TEST(PowerCap, CapIsRespectedAcrossPoliciesBackfillSeeds) {
 }
 
 // ---------------------------------------------------------------------------
-// kEnergyQssf ordering
+// Energy-weighted QSSF: a priority_fn composed at the call site
 // ---------------------------------------------------------------------------
 
-TEST(EnergyQssf, OrdersByPredictedEnergyNotGpuTime) {
+TEST(EnergyWeightedQssf, PriorityFnOrdersByPredictedEnergyNotGpuTime) {
   // One node. A runs first under both orderings. B is long but power-cheap
   // (predicted energy 1000 s × 8 GPUs × 100 W = 0.8 MJ); C is short but
-  // power-hungry (200 × 8 × 600 = 0.96 MJ). QSSF (GPU time: 8000 vs 1600)
-  // runs C before B; EQSSF flips that.
+  // power-hungry (200 × 8 × 600 = 0.96 MJ). QSSF on GPU time (8000 vs 1600)
+  // runs C before B; weighting the same prediction by watts flips that.
   const auto spec = one_vc_spec(1);
   const auto t = make_trace(
       spec, {{0, 100, 8, "vc0"}, {0, 1000, 8, "vc0"}, {0, 200, 8, "vc0"}});
@@ -332,10 +330,12 @@ TEST(EnergyQssf, OrdersByPredictedEnergyNotGpuTime) {
   const SimResult qssf = ClusterSimulator(spec, cfg).run(t);
   EXPECT_LT(qssf.outcomes[2].start, qssf.outcomes[1].start);
 
-  cfg.policy = SchedulerPolicy::kEnergyQssf;
-  const SimResult eqssf = ClusterSimulator(spec, cfg).run(t);
-  EXPECT_LT(eqssf.outcomes[1].start, eqssf.outcomes[2].start);
-  EXPECT_EQ(eqssf.outcomes[0].start, 0);  // cheapest predicted energy first
+  cfg.priority_fn = [&](const trace::JobRecord& j) {
+    return oracle(j) * watts_by_duration(j);
+  };
+  const SimResult energy = ClusterSimulator(spec, cfg).run(t);
+  EXPECT_LT(energy.outcomes[1].start, energy.outcomes[2].start);
+  EXPECT_EQ(energy.outcomes[0].start, 0);  // cheapest predicted energy first
 }
 
 }  // namespace

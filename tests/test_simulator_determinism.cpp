@@ -141,8 +141,7 @@ TEST_P(ShardedDeterminismTest, ShardedMatchesSerialReference) {
   cfg.policy = c.policy;
   cfg.backfill = c.backfill;
   if (c.capped) cfg.power_cap_watts = binding_cap(t.cluster());
-  if (c.policy == SchedulerPolicy::kQssf ||
-      c.policy == SchedulerPolicy::kEnergyQssf) {
+  if (c.policy == SchedulerPolicy::kQssf) {
     cfg.priority_fn = [](const trace::JobRecord& j) {
       return static_cast<double>(j.duration) * j.num_gpus;
     };
@@ -186,10 +185,12 @@ INSTANTIATE_TEST_SUITE_P(AllPoliciesBackfillCapsSeeds, ShardedDeterminismTest,
 
 // Fault-injected runs: same sharded-vs-serial bit-identity, now with node
 // failures killing jobs, removing capacity, and requeueing work mid-run —
-// across policies, backfill, failure rates, restart semantics, and seeds.
+// across policies, backfill, failure rates, restart semantics, and seeds,
+// plus FIFO under a binding power cap.
 struct FaultCase {
   SchedulerPolicy policy;
   bool backfill;
+  bool capped;       ///< binding power cap (power-gated admission)
   double mtbf_days;  ///< 0 = no fault plan attached
   FaultRestart restart;
   std::uint64_t seed;
@@ -207,17 +208,14 @@ TEST_P(FaultShardedDeterminismTest, ShardedMatchesSerialUnderFaults) {
   cfg.policy = c.policy;
   cfg.backfill = c.backfill;
   cfg.restart = c.restart;
-  if (c.policy == SchedulerPolicy::kQssf ||
-      c.policy == SchedulerPolicy::kEnergyQssf) {
+  if (c.policy == SchedulerPolicy::kQssf) {
     cfg.priority_fn = [](const trace::JobRecord& j) {
       return static_cast<double>(j.duration) * j.num_gpus;
     };
   }
   // Power-gated admission through the fault path: kills and recoveries move
   // the baseline and the run draw, so the cap check must stay deterministic.
-  if (c.policy == SchedulerPolicy::kPowerCap) {
-    cfg.power_cap_watts = binding_cap(t.cluster());
-  }
+  if (c.capped) cfg.power_cap_watts = binding_cap(t.cluster());
   if (c.mtbf_days > 0.0) {
     FaultPlanConfig fp;
     fp.mtbf_days = c.mtbf_days;
@@ -244,9 +242,9 @@ TEST_P(FaultShardedDeterminismTest, ShardedMatchesSerialUnderFaults) {
     // A churn-level plan over a months-long window must actually exercise
     // the fault path, or this sweep tests nothing. Under the binding power
     // cap few enough jobs run that failures may only ever hit idle nodes, so
-    // the kill expectation applies to the uncapped policies.
+    // the kill expectation applies to the uncapped runs.
     EXPECT_GT(serial.node_failures, 0);
-    if (c.policy != SchedulerPolicy::kPowerCap) {
+    if (!c.capped) {
       EXPECT_GT(serial.job_kills, 0);
     }
   }
@@ -255,13 +253,18 @@ TEST_P(FaultShardedDeterminismTest, ShardedMatchesSerialUnderFaults) {
 std::vector<FaultCase> fault_cases() {
   std::vector<FaultCase> cases;
   for (const auto policy : all_policies()) {
-    for (const bool backfill : {false, true}) {
-      for (const double mtbf : {30.0, 7.0}) {
-        for (const std::uint64_t seed : {7ull, 19ull}) {
-          const auto restart = (seed % 2 == 1) == backfill
-                                   ? FaultRestart::kResume
-                                   : FaultRestart::kRestart;
-          cases.push_back({policy, backfill, mtbf, restart, seed});
+    // The cap gates every policy the same way; FIFO carries the capped
+    // kill/requeue path.
+    for (const bool capped : {false, true}) {
+      if (capped && policy != SchedulerPolicy::kFifo) continue;
+      for (const bool backfill : {false, true}) {
+        for (const double mtbf : {30.0, 7.0}) {
+          for (const std::uint64_t seed : {7ull, 19ull}) {
+            const auto restart = (seed % 2 == 1) == backfill
+                                     ? FaultRestart::kResume
+                                     : FaultRestart::kRestart;
+            cases.push_back({policy, backfill, capped, mtbf, restart, seed});
+          }
         }
       }
     }
@@ -273,7 +276,8 @@ INSTANTIATE_TEST_SUITE_P(
     PoliciesBackfillRatesSeeds, FaultShardedDeterminismTest,
     ::testing::ValuesIn(fault_cases()), [](const auto& info) {
       return std::string(to_string(info.param.policy)) +
-             (info.param.backfill ? "Backfill" : "") + "Mtbf" +
+             (info.param.backfill ? "Backfill" : "") +
+             (info.param.capped ? "Capped" : "") + "Mtbf" +
              std::to_string(static_cast<int>(info.param.mtbf_days)) +
              (info.param.restart == FaultRestart::kResume ? "Resume"
                                                           : "Restart") +

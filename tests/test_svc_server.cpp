@@ -10,12 +10,16 @@
 //    priority path bitwise for jobs the service could price;
 //  * concurrent queries — snapshot reads race ingest without synchronization
 //    (the ASan job of ci.sh runs this suite);
+//  * malformed SVCK checkpoints — every strict prefix throws, hostile queue
+//    and log counts are rejected as truncated, and a failed load leaves the
+//    server fresh for a following good load;
 //  * CsvTailer — header skip, partial-line handling, checkpoint resume.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -186,6 +190,153 @@ TEST(SvcServer, KillAfterCheckpointRestoresAndResumesBitIdentical) {
   for (std::uint64_t i = 0; i < restored.checkpoints_written(); ++i) {
     std::remove((cfg2.checkpoint_prefix + "." + std::to_string(i)).c_str());
   }
+}
+
+// ---- SVCK checkpoint: malformed input ---------------------------------------
+
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  serialize::Reader r(std::span<const std::uint8_t>(bytes).subspan(at, 8));
+  return r.u64();
+}
+
+/// A small hand-built stream (50 context jobs, 20 streamed rows, long
+/// enough that some are still running at the last submit), so sweeping every
+/// byte of its checkpoint stays cheap.
+struct TinyStream {
+  trace::Trace context;
+  core::QssfService fitted;
+  std::string rows_csv;
+
+  TinyStream() {
+    trace::ClusterSpec spec;
+    spec.name = "s";
+    spec.vcs = {{"vc0", 2, 8}};
+    spec.nodes = 2;
+    trace::Trace all(spec);
+    for (int i = 0; i < 70; ++i) {
+      all.add(600 * i, 300 + 97 * i, 1 + i % 4, 8,
+              "u" + std::to_string(i % 5), "vc0",
+              "train_job_v" + std::to_string(i % 7),
+              trace::JobState::kCompleted);
+    }
+    context = all.between(0, 600 * 50);
+    core::QssfConfig cfg;
+    cfg.gbdt.n_trees = 3;
+    fitted = core::QssfService(cfg);
+    fitted.fit(context);
+    std::ostringstream rows;
+    all.save_csv_rows(rows, 50, 20);
+    rows_csv = std::move(rows).str();
+  }
+};
+
+/// A server's SVCK section payload and the offsets of its two hostile-count
+/// targets.
+struct Checkpoint {
+  std::vector<std::uint8_t> payload;  // section body, without tag and length
+  std::size_t queue_count_at = 0;     // u64 pending-finish queue length
+  std::size_t log_count_at = 0;       // u64 priority log length
+};
+
+Checkpoint checkpoint_of(const PredictionServer& server) {
+  serialize::Writer w;
+  server.save(w);
+  const std::vector<std::uint8_t>& section = w.buffer();
+  Checkpoint ck;
+  ck.payload.assign(section.begin() + 12, section.end());  // u32 tag + u64 len
+  // Layout (docs/FORMATS.md): u32 version, 8 u64 counters, the QssfService
+  // section, the streamed rows as one string, the queue, the log.
+  serialize::Writer svc;
+  server.snapshot()->service().save(svc);
+  const std::size_t rows_at = 4 + 8 * 8 + svc.buffer().size();
+  ck.queue_count_at = rows_at + 8 + read_u64(ck.payload, rows_at);
+  ck.log_count_at =
+      ck.queue_count_at + 8 + 12 * read_u64(ck.payload, ck.queue_count_at);
+  return ck;
+}
+
+/// Wrap `payload` as an SVCK section whose declared length matches it.
+std::vector<std::uint8_t> svck_section(std::span<const std::uint8_t> payload) {
+  serialize::Writer w;
+  w.begin_section(serialize::fourcc("SVCK"));
+  w.bytes(payload);
+  w.end_section();
+  return w.buffer();
+}
+
+TEST(SvcCheckpointMalformed, EveryStrictPrefixThrows) {
+  const TinyStream ts;
+  PredictionServer server(ts.fitted, ts.context);
+  server.ingest_csv(ts.rows_csv);
+  // A truncated file fails in unframe, which test_serialize's
+  // SerializeMalformed.TruncationAtEveryByte covers. A truncated payload
+  // under a consistent section length gets past the frame and section
+  // checks, so every field read in load() must reject it, and leave the
+  // server fresh for the next attempt.
+  const Checkpoint ck = checkpoint_of(server);
+  PredictionServer fresh(ts.fitted, ts.context);
+  for (std::size_t len = 0; len < ck.payload.size(); ++len) {
+    const auto bytes = svck_section(
+        std::span<const std::uint8_t>(ck.payload.data(), len));
+    serialize::Reader r(bytes);
+    EXPECT_THROW(fresh.load(r), serialize::Error) << "payload prefix " << len;
+    ASSERT_EQ(fresh.rows_ingested(), 0u) << "payload prefix " << len;
+  }
+}
+
+TEST(SvcCheckpointMalformed, HostileCountsAreTruncatedAndLeaveTheServerFresh) {
+  const TinyStream ts;
+  PredictionServer server(ts.fitted, ts.context);
+  server.ingest_csv(ts.rows_csv);
+  ASSERT_EQ(server.rows_ingested(), 20u);
+  const Checkpoint ck = checkpoint_of(server);
+  // The offsets land on the two counts: some jobs are still queued, the log
+  // holds every GPU job, and nothing trails it.
+  EXPECT_GT(read_u64(ck.payload, ck.queue_count_at), 0u);
+  const std::uint64_t n_log = read_u64(ck.payload, ck.log_count_at);
+  ASSERT_EQ(n_log, server.gpu_jobs_ingested());
+  ASSERT_EQ(ck.payload.size(), ck.log_count_at + 8 + 16 * n_log);
+
+  PredictionServer target(ts.fitted, ts.context);
+  for (const std::size_t at : {ck.queue_count_at, ck.log_count_at}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 60, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> bad = ck.payload;
+      for (int i = 0; i < 8; ++i) {
+        bad[at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(count >> (8 * i));
+      }
+      const auto bytes = svck_section(bad);
+      serialize::Reader r(bytes);
+      try {
+        target.load(r);
+        ADD_FAILURE() << "accepted count " << count << " at " << at;
+      } catch (const serialize::Error& e) {
+        EXPECT_EQ(e.code(), serialize::ErrorCode::kTruncated) << e.what();
+      }
+      ASSERT_EQ(target.rows_ingested(), 0u);
+      EXPECT_TRUE(target.priority_log().empty());
+    }
+  }
+
+  // The failed loads left `target` fresh: the real checkpoint still restores
+  // it bit-identically, and both then resume identically.
+  const auto good = svck_section(ck.payload);
+  serialize::Reader r(good);
+  target.load(r);
+  EXPECT_EQ(target.rows_ingested(), server.rows_ingested());
+  EXPECT_EQ(target.bytes_ingested(), server.bytes_ingested());
+  EXPECT_EQ(target.priority_log(), server.priority_log());
+  EXPECT_TRUE(target.stream().contents_equal(server.stream()));
+  serialize::Writer a;
+  server.save(a);
+  serialize::Writer b;
+  target.save(b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  // Resuming replays the same rows through the restored queue and model.
+  server.ingest_csv(ts.rows_csv);
+  target.ingest_csv(ts.rows_csv);
+  EXPECT_EQ(target.priority_log(), server.priority_log());
 }
 
 TEST(SvcServer, FrozenQueryMatchesTracePathBitwise) {

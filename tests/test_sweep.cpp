@@ -129,8 +129,7 @@ TEST(ScenarioEngine, RepeatRunIsStableAndRegeneratesNothing) {
 SweepGrid power_grid() {
   SweepGrid grid;
   grid.clusters = {"Venus"};
-  grid.policies = {sim::SchedulerPolicy::kFifo, sim::SchedulerPolicy::kPowerCap,
-                   sim::SchedulerPolicy::kEnergyQssf};
+  grid.policies = {sim::SchedulerPolicy::kFifo, sim::SchedulerPolicy::kQssf};
   grid.backfills = {false, true};
   grid.scales = {kScale};
   grid.seeds = {42};
@@ -154,7 +153,7 @@ TEST(ScenarioEngine, PowerAxisExpandsInnermostAndLabels) {
   const SweepGrid grid = power_grid();
   const auto cells = grid.expand();
   EXPECT_EQ(cells.size(), grid.cell_count());
-  EXPECT_EQ(cells.size(), 1u * 1u * 3u * 2u * 1u * 2u);  // ...×fault×power
+  EXPECT_EQ(cells.size(), 1u * 1u * 2u * 2u * 1u * 2u);  // ...×fault×power
   // Power is the innermost axis: adjacent cells differ only in power.
   EXPECT_EQ(cells[0].power.name, "uncapped");
   EXPECT_EQ(cells[1].power.name, "cap30");
@@ -204,8 +203,8 @@ TEST(ScenarioEngine, ComparisonReportSlicesPowerAndReportsEnergy) {
   const std::string report = comparison_report(sweep);
   EXPECT_NE(report.find("Energy (kWh)"), std::string::npos);
   EXPECT_NE(report.find("power=cap30"), std::string::npos);
-  EXPECT_NE(report.find("POWERCAP"), std::string::npos);
-  EXPECT_NE(report.find("EQSSF"), std::string::npos);
+  EXPECT_NE(report.find("FIFO"), std::string::npos);
+  EXPECT_NE(report.find("QSSF"), std::string::npos);
 }
 
 TEST(ScenarioEngine, QssfWithoutProviderThrows) {
