@@ -3,11 +3,11 @@
 // matching, name bucketization.
 //
 // The BM_GbdtFit / BM_GbdtPredictMany / BM_OnlineEvaluator benches run the
-// histogram engine (GBDTEngine::kHistogram) and the chunked evaluator
+// histogram engine (GBDTEngine::kHistogram) and the batched evaluator
 // (common::ExecMode::kParallel); the *Reference / *Serial variants run the
 // retained baselines for comparison. main() first asserts bit-for-bit
 // parity — histogram-vs-reference models (same trees, same training RMSE)
-// and chunked-vs-serial evaluator priorities — so a perf run against a
+// and batched-vs-serial evaluator priorities — so a perf run against a
 // broken trainer fails loudly instead of reporting a meaningless speedup.
 // See BENCH_ml.json for recorded before/after numbers.
 #include <benchmark/benchmark.h>
@@ -372,7 +372,7 @@ bool models_equal(const ml::GBDTRegressor& a, const ml::GBDTRegressor& b) {
 }
 
 /// Hard gate: the histogram engine must reproduce the reference trainer
-/// bit-for-bit, and the chunked evaluator the serial one, on the benchmark
+/// bit-for-bit, and the batched evaluator the serial one, on the benchmark
 /// workloads, before any timing runs.
 void verify_parity() {
   Rng rng(7);
@@ -436,28 +436,27 @@ void verify_parity() {
   core::QssfConfig qcfg;
   qcfg.gbdt.n_trees = 20;
   core::QssfService serial_svc(qcfg);
-  core::QssfService chunked_svc(qcfg);
+  core::QssfService batched_svc(qcfg);
   serial_svc.fit(train);
-  chunked_svc.fit(train);
+  batched_svc.fit(train);
   core::EvalOptions serial_opts;
   serial_opts.execution = helios::common::ExecMode::kSerial;
-  core::EvalOptions chunked_opts;
-  chunked_opts.min_window = 1;
-  chunked_opts.max_windows = 7;  // force the window machinery on any machine
+  core::EvalOptions batched_opts;
+  batched_opts.execution = helios::common::ExecMode::kParallel;
   core::OnlinePriorityEvaluator serial_eval(serial_svc, eval, serial_opts);
-  core::OnlinePriorityEvaluator chunked_eval(chunked_svc, eval, chunked_opts);
-  bool ok = serial_eval.predicted_gpu_time() == chunked_eval.predicted_gpu_time() &&
-            serial_eval.actual_gpu_time() == chunked_eval.actual_gpu_time();
+  core::OnlinePriorityEvaluator batched_eval(batched_svc, eval, batched_opts);
+  bool ok = serial_eval.predicted_gpu_time() == batched_eval.predicted_gpu_time() &&
+            serial_eval.actual_gpu_time() == batched_eval.actual_gpu_time();
   for (const auto& j : eval.jobs()) {
     if (!ok) break;
     if (!j.is_gpu_job()) continue;
-    ok = serial_eval.priority_of(j) == chunked_eval.priority_of(j) &&
+    ok = serial_eval.priority_of(j) == batched_eval.priority_of(j) &&
          serial_svc.rolling_estimate(eval, j) ==
-             chunked_svc.rolling_estimate(eval, j);
+             batched_svc.rolling_estimate(eval, j);
   }
   if (!ok) {
     std::fprintf(stderr,
-                 "FATAL: chunked OnlinePriorityEvaluator diverges from the "
+                 "FATAL: batched OnlinePriorityEvaluator diverges from the "
                  "serial reference\n");
     std::exit(1);
   }

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "common/civil_time.h"
-#include "common/thread_pool.h"
 #include "serialize/binary.h"
 
 namespace helios::core {
@@ -29,6 +28,34 @@ ml::GBDTConfig QssfConfig::default_gbdt_config() {
 // ---------------------------------------------------------------------------
 // RollingEstimator
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Why a pair of rolling knobs is unusable, or nullptr. find_name converts
+/// threshold × name length to size_t, which is undefined for a negative or
+/// NaN threshold (the normalised distance it bounds lies in [0, 1]), and a
+/// zero name cap makes observe's eviction erase the end of an empty list.
+const char* rolling_knob_error(double name_match_threshold,
+                               std::size_t max_names_per_user) {
+  if (!(name_match_threshold >= 0.0 && name_match_threshold <= 1.0)) {
+    return "name_match_threshold outside [0, 1]";
+  }
+  if (max_names_per_user == 0) return "max_names_per_user is 0";
+  return nullptr;
+}
+
+}  // namespace
+
+RollingEstimator::RollingEstimator(const QssfConfig& config)
+    : use_names_(config.use_names),
+      name_match_threshold_(config.name_match_threshold),
+      rolling_decay_(config.rolling_decay),
+      max_names_per_user_(config.max_names_per_user) {
+  if (const char* why = rolling_knob_error(name_match_threshold_,
+                                           max_names_per_user_)) {
+    throw std::invalid_argument(std::string("QssfConfig: ") + why);
+  }
+}
 
 const RollingEstimator::NameEntry* RollingEstimator::find_name(
     const UserHistory& u, const std::string& name) const {
@@ -146,105 +173,6 @@ double RollingEstimator::estimate(const std::string& user,
 }
 
 // ---------------------------------------------------------------------------
-// RollingOverlay
-// ---------------------------------------------------------------------------
-
-RollingOverlay::RollingOverlay()
-    : arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(arena_.get())) {}
-
-RollingOverlay::RollingOverlay(std::shared_ptr<const RollingEstimator> base)
-    : base_(std::move(base)),
-      arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(arena_.get())) {
-  if (!base_) return;
-  // The delta starts as the base minus its per-user map and dedupe set:
-  // knobs and global fallbacks copy over (globals advance on every observe,
-  // so they must live in the delta), user histories materialize lazily.
-  delta_->use_names_ = base_->use_names_;
-  delta_->name_match_threshold_ = base_->name_match_threshold_;
-  delta_->rolling_decay_ = base_->rolling_decay_;
-  delta_->max_names_per_user_ = base_->max_names_per_user_;
-  delta_->global_by_gpus_ = base_->global_by_gpus_;
-  delta_->global_duration_sum_ = base_->global_duration_sum_;
-  delta_->global_jobs_ = base_->global_jobs_;
-  delta_->observe_counter_ = base_->observe_counter_;
-}
-
-RollingOverlay::RollingOverlay(const RollingOverlay& other)
-    : base_(other.base_),
-      arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(*other.delta_, arena_.get())) {}
-
-RollingOverlay& RollingOverlay::operator=(const RollingOverlay& other) {
-  if (this != &other) *this = RollingOverlay(other);
-  return *this;
-}
-
-RollingOverlay& RollingOverlay::operator=(RollingOverlay&& other) noexcept {
-  if (this != &other) {
-    // Order matters: retire the old delta while the old arena is still
-    // alive (its container destructors make virtual deallocate calls on
-    // the resource), then the arena, then adopt the incoming pointers.
-    delta_ = std::move(other.delta_);
-    arena_ = std::move(other.arena_);
-    base_ = std::move(other.base_);
-  }
-  return *this;
-}
-
-void RollingOverlay::observe(const Trace& t, const JobRecord& job) {
-  if (!base_) {
-    delta_->observe(t, job);
-    return;
-  }
-  if (!job.is_gpu_job()) return;
-  // The base's dedupe set is checked here (it never migrates into the
-  // delta); a job the base already folded in must stay a no-op.
-  if (base_->observed_ids_.contains(RollingEstimator::dedupe_key(job))) return;
-  const std::string& user = t.user_name(job);
-  if (!delta_->users_.contains(user)) {
-    if (const auto it = base_->users_.find(user); it != base_->users_.end()) {
-      delta_->users_.emplace(user, it->second);  // copy-on-first-touch
-    }
-  }
-  delta_->observe(t, job);
-}
-
-double RollingOverlay::estimate(const Trace& t, const JobRecord& job) const {
-  return estimate(t.user_name(job), t.job_name(job), job.num_gpus);
-}
-
-double RollingOverlay::estimate(const std::string& user,
-                                const std::string& job_name,
-                                int num_gpus) const {
-  // Route by history ownership: a delta user has the evolved copy; a
-  // base-only user's estimate never reads the global fallbacks (known users
-  // have jobs >= 1), so the base answers bit-identically; an unknown user
-  // needs the *live* globals, which the delta carries.
-  if (base_ && !delta_->users_.contains(user) && base_->users_.contains(user)) {
-    return base_->estimate(user, job_name, num_gpus);
-  }
-  return delta_->estimate(user, job_name, num_gpus);
-}
-
-RollingEstimator RollingOverlay::materialize() const {
-  // Both returns produce a default-resource estimator (plain copies go
-  // through select_on_container_copy_construction), so the result is free
-  // to outlive this overlay's arena.
-  if (!base_) return *delta_;
-  RollingEstimator out = *base_;
-  out.global_by_gpus_ = delta_->global_by_gpus_;
-  out.global_duration_sum_ = delta_->global_duration_sum_;
-  out.global_jobs_ = delta_->global_jobs_;
-  out.observe_counter_ = delta_->observe_counter_;
-  for (const auto& [user, hist] : delta_->users_) out.users_[user] = hist;
-  out.observed_ids_.insert(delta_->observed_ids_.begin(),
-                           delta_->observed_ids_.end());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Persistence (docs/FORMATS.md)
 // ---------------------------------------------------------------------------
 
@@ -340,6 +268,11 @@ void RollingEstimator::load(serialize::Reader& r) {
   out.name_match_threshold_ = s.f64();
   out.rolling_decay_ = s.f64();
   out.max_names_per_user_ = static_cast<std::size_t>(s.u64());
+  if (const char* why = rolling_knob_error(out.name_match_threshold_,
+                                           out.max_names_per_user_)) {
+    throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                           std::string("rolling section: ") + why);
+  }
   out.global_duration_sum_ = s.f64();
   out.global_jobs_ = s.i64();
   out.observe_counter_ = s.u64();
@@ -459,6 +392,11 @@ void QssfService::load(serialize::Reader& r) {
   cfg.rolling_decay = s.f64();
   cfg.max_names_per_user = static_cast<std::size_t>(s.u64());
   cfg.use_names = s.u8() != 0;
+  if (const char* why = rolling_knob_error(cfg.name_match_threshold,
+                                           cfg.max_names_per_user)) {
+    throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                           std::string("qssf section: ") + why);
+  }
   ml::GBDTRegressor model;
   model.load(s);
   // encode() always hands predict() a kFeatureCount-element row; a trained
@@ -552,158 +490,48 @@ double QssfService::priority(const JobQuery& query) const {
 OnlinePriorityEvaluator::OnlinePriorityEvaluator(QssfService& service,
                                                  const Trace& eval,
                                                  EvalOptions options) {
-  if (options.execution == common::ExecMode::kSerial) {
-    run_serial(service, eval);
-  } else {
-    run_chunked(service, eval, options);
-  }
-}
-
-void OnlinePriorityEvaluator::run_serial(QssfService& service,
-                                         const Trace& eval) {
-  ReplayQueue pending;
-  priorities_.reserve(eval.size());
-  for (std::size_t i = 0; i < eval.size(); ++i) {
-    const JobRecord& job = eval.jobs()[i];
-    if (!job.is_gpu_job()) continue;
-    // Fold in every job that has (approximately) finished by now; queuing
-    // delay is unknown at this point, so submit+duration approximates the
-    // termination feed of the Model Update Engine.
-    pending.drain(job.submit_time, [&](std::uint32_t idx) {
-      service.rolling_.observe(eval, eval.jobs()[idx]);
-    });
-    const double p = service.priority(eval, job);
-    priorities_.emplace(job.job_id, p);
-    predicted_.push_back(p);
-    actual_.push_back(job.gpu_time());
-    pending.push(job, static_cast<std::uint32_t>(i));
-  }
-}
-
-void OnlinePriorityEvaluator::run_chunked(QssfService& service,
-                                          const Trace& eval,
-                                          const EvalOptions& options) {
   const auto& jobs = eval.jobs();
   std::vector<std::uint32_t> gpu;
   gpu.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (jobs[i].is_gpu_job()) gpu.push_back(static_cast<std::uint32_t>(i));
   }
-  if (gpu.empty()) return;
 
-  // The GBDT half of every priority depends only on the (fixed) model, so it
-  // batches into one binned predict_many pass. Encoding runs in stream order,
-  // which warms the name buckets exactly as the serial path would.
+  // The GBDT half of every priority depends only on the (fixed) model, so
+  // kParallel batches it into one binned predict_many pass. Encoding runs in
+  // stream order, which warms the name buckets exactly as the per-job path.
   const bool trained = service.trained();
+  const bool batched =
+      trained && options.execution == common::ExecMode::kParallel;
   std::vector<double> ml_est;
-  if (trained) {
-    const ml::Dataset encoded = service.encode_jobs(eval, gpu);
-    ml_est = service.model().predict_many(encoded);
+  if (batched) {
+    ml_est = service.model().predict_many(service.encode_jobs(eval, gpu));
     for (double& v : ml_est) v = std::max(1.0, std::expm1(v));
   }
-
-  // Window count: an explicit max_windows forces the replay machinery (for
-  // tests / benchmarks); otherwise size to the pool, never below min_window
-  // jobs per window.
-  std::size_t n_windows;
-  if (options.max_windows > 0) {
-    n_windows = std::min(options.max_windows, gpu.size());
-  } else {
-    const std::size_t threads =
-        std::max<std::size_t>(1, global_pool().thread_count());
-    n_windows = std::clamp<std::size_t>(
-        gpu.size() / std::max<std::size_t>(1, options.min_window), 1, threads);
-  }
-  std::vector<std::size_t> start(n_windows + 1);
-  for (std::size_t w = 0; w <= n_windows; ++w) {
-    start[w] = gpu.size() * w / n_windows;
-  }
-
-  // Serial pre-pass: replay only the observe stream through all but the last
-  // window, snapshotting (rolling overlay, pending heap) at each boundary.
-  // The service's pre-eval rolling state moves behind one immutable shared
-  // base — copied zero times here — and each boundary snapshot is a
-  // copy-on-write overlay carrying only the user histories the observe
-  // stream has touched so far, not the full multi-month user map. The heap
-  // executes the same push/pop sequence the serial path would, so the
-  // snapshot layouts — and therefore pop order — are identical.
-  const auto base =
-      std::make_shared<const RollingEstimator>(std::move(service.rolling_));
-  struct Snapshot {
-    RollingOverlay rolling;
-    ReplayQueue heap;
-  };
-  std::vector<Snapshot> snaps(n_windows);
-  {
-    RollingOverlay live{base};
-    ReplayQueue pending;
-    snaps[0] = {live, pending};
-    for (std::size_t w = 0; w + 1 < n_windows; ++w) {
-      for (std::size_t pos = start[w]; pos < start[w + 1]; ++pos) {
-        const JobRecord& job = jobs[gpu[pos]];
-        pending.drain(job.submit_time, [&](std::uint32_t idx) {
-          live.observe(eval, jobs[idx]);
-        });
-        pending.push(job, gpu[pos]);
-      }
-      snaps[w + 1] = {live, pending};
-    }
-  }
-
-  // Replay windows concurrently. Window w's snapshot already contains every
-  // observe due before its first job, so replaying its own stream yields
-  // exactly the serial rolling state at each of its jobs.
-  struct WindowResult {
-    std::vector<std::pair<std::uint64_t, double>> priorities;
-    std::vector<double> predicted;
-    std::vector<double> actual;
-  };
-  std::vector<WindowResult> results(n_windows);
-  RollingEstimator final_rolling;
-  const QssfConfig& cfg = service.config();
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    tasks.push_back([&, w] {
-      RollingOverlay local = std::move(snaps[w].rolling);
-      ReplayQueue pending = std::move(snaps[w].heap);
-      WindowResult& out = results[w];
-      const std::size_t count = start[w + 1] - start[w];
-      out.priorities.reserve(count);
-      out.predicted.reserve(count);
-      out.actual.reserve(count);
-      for (std::size_t pos = start[w]; pos < start[w + 1]; ++pos) {
-        const JobRecord& job = jobs[gpu[pos]];
-        pending.drain(job.submit_time, [&](std::uint32_t idx) {
-          local.observe(eval, jobs[idx]);
-        });
-        const double pr = local.estimate(eval, job);
-        // Untrained model: ml_estimate falls back to the rolling estimate,
-        // bitwise pr (it is a pure function of the same state).
-        const double pm = trained ? ml_est[pos] : pr;
-        const double p = QssfService::combine(cfg, pr, pm, job);
-        out.priorities.emplace_back(job.job_id, p);
-        out.predicted.push_back(p);
-        out.actual.push_back(job.gpu_time());
-        pending.push(job, gpu[pos]);
-      }
-      // The last window saw every observe the serial path applies;
-      // flattening its overlay (the one full base copy of the whole chunked
-      // pass) reproduces exactly the state kSerial would leave behind.
-      if (w + 1 == n_windows) final_rolling = local.materialize();
-    });
-  }
-  parallel_run_tasks(std::move(tasks));
-
-  service.rolling_ = std::move(final_rolling);
 
   priorities_.reserve(gpu.size());
   predicted_.reserve(gpu.size());
   actual_.reserve(gpu.size());
-  for (auto& r : results) {
-    for (const auto& [id, p] : r.priorities) priorities_.emplace(id, p);
-    predicted_.insert(predicted_.end(), r.predicted.begin(), r.predicted.end());
-    actual_.insert(actual_.end(), r.actual.begin(), r.actual.end());
+  RollingEstimator& rolling = service.rolling_;
+  ReplayQueue pending;
+  for (std::size_t pos = 0; pos < gpu.size(); ++pos) {
+    const JobRecord& job = jobs[gpu[pos]];
+    // Fold in every job that has (approximately) finished by now; queuing
+    // delay is unknown at this point, so submit+duration approximates the
+    // termination feed of the Model Update Engine.
+    pending.drain(job.submit_time, [&](std::uint32_t idx) {
+      rolling.observe(eval, jobs[idx]);
+    });
+    const double pr = rolling.estimate(eval, job);
+    // Untrained model: ml_estimate falls back to the rolling estimate, which
+    // is bitwise pr (a pure function of the same state).
+    double pm = pr;
+    if (trained) pm = batched ? ml_est[pos] : service.ml_estimate(eval, job);
+    const double p = QssfService::combine(service.config(), pr, pm, job);
+    priorities_.emplace(job.job_id, p);
+    predicted_.push_back(p);
+    actual_.push_back(job.gpu_time());
+    pending.push(job, gpu[pos]);
   }
 }
 

@@ -19,8 +19,8 @@
 //
 // Determinism: fit(), observe(), and the evaluator are pure functions of
 // their inputs and the service's prior state — no wall clock, no unseeded
-// randomness. OnlinePriorityEvaluator's chunked mode is bit-identical to the
-// serial loop for any window or thread count (test_prediction_parity), and a
+// randomness. OnlinePriorityEvaluator's batched mode is bit-identical to its
+// per-job reference at any thread count (test_prediction_parity), and a
 // service restored from save() (docs/FORMATS.md, "QSSF" frame) produces
 // bit-identical priorities and estimates (test_serialize) — including the
 // dedupe keys, so replaying an already-observed trace into a warm-restarted
@@ -32,21 +32,18 @@
 // threads between mutations (predict-time name bucketing is memoized behind
 // logical constness, so even const use requires external synchronization if
 // callers race on previously-unseen job names). OnlinePriorityEvaluator
-// parallelizes internally on the shared global_pool() and is safe to read
+// batches GBDT inference on the shared global_pool() and is safe to read
 // from any thread once constructed.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <memory_resource>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/exec_mode.h"
 #include "core/framework.h"
 #include "ml/gbdt.h"
@@ -66,11 +63,12 @@ struct QssfConfig {
   double lambda = 0.45;
   /// Normalised Levenshtein distance below which two job names "match".
   /// 0.20 keeps "_v2"-style variants together while separating different
-  /// templates of the same user ("train_bert" vs "eval_bert").
+  /// templates of the same user ("train_bert" vs "eval_bert"). Must lie in
+  /// [0, 1], the range of the distance it bounds.
   double name_match_threshold = 0.20;
   /// Exponential decay applied to older name-matched durations.
   double rolling_decay = 0.75;
-  /// Per-user cap on remembered name entries (oldest evicted).
+  /// Per-user cap on remembered name entries (oldest evicted); at least 1.
   std::size_t max_names_per_user = 64;
   /// GBDT hyper-parameters; max_training_rows caps fit cost on huge traces.
   ml::GBDTConfig gbdt = default_gbdt_config();
@@ -84,9 +82,7 @@ struct QssfConfig {
 };
 
 /// The rolling half of Algorithm 1: per-user duration history with
-/// Levenshtein name matching, plus cluster-wide fallbacks. Split out of the
-/// service as a copyable value so the windowed OnlinePriorityEvaluator can
-/// snapshot and replay it deterministically on the thread pool.
+/// Levenshtein name matching, plus cluster-wide fallbacks.
 ///
 /// Every finished job is folded in at most once, keyed by a hash of its
 /// identity content (job_id, submit time, duration, demand, user), so
@@ -95,41 +91,9 @@ struct QssfConfig {
 class RollingEstimator {
  public:
   RollingEstimator() = default;
-  explicit RollingEstimator(const QssfConfig& config)
-      : use_names_(config.use_names),
-        name_match_threshold_(config.name_match_threshold),
-        rolling_decay_(config.rolling_decay),
-        max_names_per_user_(config.max_names_per_user) {}
-
-  /// Construct with the per-user map and dedupe set backed by `mr` — the
-  /// RollingOverlay points its delta at a per-window MonotonicArena so the
-  /// many short-lived node allocations of a snapshot bump-allocate instead
-  /// of hitting the global heap. The default constructor (and the plain
-  /// copies below, via select_on_container_copy_construction) stay on the
-  /// default resource, so estimators that outlive a window never reference
-  /// an arena.
-  explicit RollingEstimator(std::pmr::memory_resource* mr)
-      : users_(mr), observed_ids_(mr) {}
-
-  /// Allocator-extended copy: every field copies, container storage lands
-  /// on `mr` (the overlay's copy constructor rebinds a snapshot's delta to
-  /// its own fresh arena).
-  RollingEstimator(const RollingEstimator& other, std::pmr::memory_resource* mr)
-      : use_names_(other.use_names_),
-        name_match_threshold_(other.name_match_threshold_),
-        rolling_decay_(other.rolling_decay_),
-        max_names_per_user_(other.max_names_per_user_),
-        users_(other.users_, mr),
-        global_by_gpus_(other.global_by_gpus_),
-        global_duration_sum_(other.global_duration_sum_),
-        global_jobs_(other.global_jobs_),
-        observe_counter_(other.observe_counter_),
-        observed_ids_(other.observed_ids_, mr) {}
-
-  RollingEstimator(const RollingEstimator&) = default;
-  RollingEstimator(RollingEstimator&&) = default;
-  RollingEstimator& operator=(const RollingEstimator&) = default;
-  RollingEstimator& operator=(RollingEstimator&&) = default;
+  /// Throws std::invalid_argument if name_match_threshold lies outside
+  /// [0, 1] (or is NaN) or max_names_per_user is 0.
+  explicit RollingEstimator(const QssfConfig& config);
 
   /// Absorb one finished GPU job (idempotent per job_id).
   void observe(const trace::Trace& t, const trace::JobRecord& job);
@@ -152,13 +116,12 @@ class RollingEstimator {
   /// their eviction clocks), the cluster-wide fallbacks, and the observed-id
   /// dedupe set — so a restored estimator both estimates bit-identically and
   /// keeps skipping jobs the saved one had already folded in. Throws
-  /// serialize::Error on malformed input.
+  /// serialize::Error on malformed input, including knobs the config
+  /// constructor would reject (ErrorCode::kCorrupt).
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 
  private:
-  friend class RollingOverlay;  // copy-on-write view; reads the raw maps
-
   struct NameEntry {
     std::string name;
     double ewma_duration = 0.0;
@@ -184,84 +147,12 @@ class RollingEstimator {
   [[nodiscard]] static std::uint64_t dedupe_key(
       const trace::JobRecord& job) noexcept;
 
-  // The two node-heavy containers are pmr so an overlay delta can point
-  // them at its window arena; everything reachable from UserHistory
-  // (strings, inner maps, name vectors) stays on the default heap — the
-  // arena absorbs the map nodes and bucket arrays, which dominate the
-  // allocation count of a snapshot.
-  std::pmr::unordered_map<std::string, UserHistory> users_;
+  std::unordered_map<std::string, UserHistory> users_;
   std::unordered_map<int, std::pair<double, std::int64_t>> global_by_gpus_;
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
-  std::pmr::unordered_set<std::uint64_t> observed_ids_;  // content-hash keys
-};
-
-/// Copy-on-write view over an immutable shared RollingEstimator. Reads fall
-/// through to the base; an observe materializes only the touched user's
-/// history into a private delta estimator (whose global fallbacks are live
-/// from construction, since they advance with every observe). Copying an
-/// overlay copies the delta, not the base — which is what makes windowed
-/// evaluation snapshots cheap: n windows share one multi-month base and each
-/// carries only the users its prefix of the observe stream touched.
-///
-/// Bit-parity contract: observe() delegates to RollingEstimator::observe on
-/// the delta after seeding it with the base's state for that user, and
-/// estimate() routes each user to whichever side owns its history, so an
-/// overlay is observationally bit-identical to a plain estimator that
-/// started from a copy of the base (test_prediction_parity gates this
-/// through the chunked-vs-serial evaluator comparison).
-///
-/// Thread-safety: like RollingEstimator, externally synchronized; distinct
-/// overlays over the same base may be used from distinct threads freely
-/// (the base is never written through this class).
-class RollingOverlay {
- public:
-  RollingOverlay();
-  explicit RollingOverlay(std::shared_ptr<const RollingEstimator> base);
-
-  /// Copying an overlay (the evaluator's per-window snapshot) allocates a
-  /// fresh arena and rebinds the copied delta to it, so each snapshot owns
-  /// its storage and windows free their arena wholesale when they finish.
-  RollingOverlay(const RollingOverlay& other);
-  RollingOverlay& operator=(const RollingOverlay& other);
-  /// Moves transfer the arena and delta as pointers — no element traffic,
-  /// and no pmr element-wise move-assignment across unequal resources.
-  RollingOverlay(RollingOverlay&&) noexcept = default;
-  RollingOverlay& operator=(RollingOverlay&& other) noexcept;
-  ~RollingOverlay() = default;
-
-  /// Absorb one finished GPU job (idempotent per job identity, across both
-  /// the base's and the delta's dedupe sets).
-  void observe(const trace::Trace& t, const trace::JobRecord& job);
-
-  [[nodiscard]] double estimate(const trace::Trace& t,
-                                const trace::JobRecord& job) const;
-  [[nodiscard]] double estimate(const std::string& user,
-                                const std::string& job_name,
-                                int num_gpus) const;
-
-  /// Flatten base + delta into a standalone estimator (one full base copy —
-  /// the windowed evaluator calls this once, for the final window's state).
-  [[nodiscard]] RollingEstimator materialize() const;
-
-  /// Users whose histories the delta owns (introspection for tests).
-  [[nodiscard]] std::size_t delta_users() const noexcept {
-    return delta_->users_.size();
-  }
-  /// Bytes the delta has bump-allocated from this overlay's arena.
-  [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return arena_->bytes_used();
-  }
-
- private:
-  std::shared_ptr<const RollingEstimator> base_;  // null = plain estimator
-  // arena_ is declared before delta_: members destroy in reverse order, so
-  // the delta's containers deallocate (a no-op, but still a virtual call)
-  // against a live arena. The custom move-assignment preserves the same
-  // property on overwrite.
-  std::unique_ptr<common::MonotonicArena> arena_;
-  std::unique_ptr<RollingEstimator> delta_;
+  std::unordered_set<std::uint64_t> observed_ids_;  // content-hash keys
 };
 
 /// A job described by raw strings plus pre-resolved feature ids — the query
@@ -281,6 +172,7 @@ struct JobQuery {
 
 class QssfService final : public Service {
  public:
+  /// Throws std::invalid_argument on a config RollingEstimator rejects.
   explicit QssfService(QssfConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "qssf"; }
@@ -322,7 +214,7 @@ class QssfService final : public Service {
   [[nodiscard]] double priority(const JobQuery& query) const;
 
   /// λ-merge of the two estimates scaled to GPU time — the single definition
-  /// of Priority() shared by the serial and the windowed evaluation paths.
+  /// of Priority() shared by priority() and the evaluator.
   [[nodiscard]] static double combine(const QssfConfig& config, double rolling,
                                       double ml, const trace::JobRecord& job) {
     return static_cast<double>(std::max(1, job.num_gpus)) *
@@ -348,7 +240,7 @@ class QssfService final : public Service {
   void load(serialize::Reader& r);
 
  private:
-  friend class OnlinePriorityEvaluator;  // snapshots / adopts rolling_
+  friend class OnlinePriorityEvaluator;  // replays into rolling_
 
   static constexpr std::size_t kFeatureCount = 9;
   void encode(const trace::Trace& t, const trace::JobRecord& job,
@@ -366,9 +258,8 @@ class QssfService final : public Service {
 /// Pending-finish replay queue: a min-heap of (finish, index) events, popped
 /// in (finish, then index) total order — identical however the heap was
 /// assembled. This is the one heap-op sequence every causal replay site
-/// shares; the chunked evaluator's bit-parity with the serial loop, and the
-/// streaming svc::PredictionServer's bit-parity with the batch evaluator,
-/// both depend on every site executing it identically. Externally
+/// shares; the streaming svc::PredictionServer's bit-parity with the batch
+/// evaluator depends on both sites executing it identically. Externally
 /// synchronized, like the estimators it feeds.
 class ReplayQueue {
  public:
@@ -413,16 +304,11 @@ class ReplayQueue {
 };
 
 struct EvalOptions {
-  /// kParallel evaluates deterministic replay windows concurrently on the
-  /// shared pool, with the GBDT estimates batched through predict_many —
-  /// bit-identical to kSerial (the retained job-by-job loop) for any window
-  /// or thread count.
+  /// kParallel takes the GBDT half of every priority from one batched,
+  /// row-parallel predict_many pass on the shared pool; kSerial (the
+  /// per-job reference) encodes and predicts each job as it is priced. Both
+  /// run the same causal replay and are bit-identical at any thread count.
   common::ExecMode execution = common::ExecMode::kParallel;
-  /// Smallest window, in GPU jobs.
-  std::size_t min_window = 1024;
-  /// Cap on the window count; 0 = auto (the pool width). Tests force small
-  /// windows to exercise the replay machinery on any machine.
-  std::size_t max_windows = 0;
 };
 
 /// Evaluates QSSF priorities for a stream of jobs in submission order while
@@ -432,16 +318,10 @@ struct EvalOptions {
 /// terminate. Returns a PriorityFn suitable for sim::SimConfig after
 /// precomputing priorities for every GPU job of `eval`.
 ///
-/// The chunked mode splits the stream into contiguous replay windows: a
-/// serial pre-pass replays only the (cheap) observe stream, snapshotting a
-/// copy-on-write RollingOverlay (all windows share the immutable pre-eval
-/// rolling state; each snapshot carries only the user histories its prefix
-/// touched) plus the pending-finish ReplayQueue at each window boundary;
-/// windows then replay concurrently from their snapshots while the GBDT
-/// half of every priority comes from one batched predict_many pass. Because
-/// each window replays exactly the observes the serial path would apply,
-/// the result — and the service's final rolling state — is bit-identical to
-/// kSerial.
+/// The replay runs once, job by job, on the service's own rolling estimator
+/// (drain the ReplayQueue up to the job's submit time, estimate, combine,
+/// queue its finish), so the service ends holding every evaluated job, as
+/// the Model Update Engine would.
 class OnlinePriorityEvaluator {
  public:
   OnlinePriorityEvaluator(QssfService& service, const trace::Trace& eval,
@@ -462,10 +342,6 @@ class OnlinePriorityEvaluator {
   }
 
  private:
-  void run_serial(QssfService& service, const trace::Trace& eval);
-  void run_chunked(QssfService& service, const trace::Trace& eval,
-                   const EvalOptions& options);
-
   std::unordered_map<std::uint64_t, double> priorities_;
   std::vector<double> predicted_;
   std::vector<double> actual_;

@@ -151,6 +151,13 @@ void NameBucketizer::load(serialize::Reader& r) {
         "bucketizer section version " + std::to_string(version));
   }
   const double threshold = s.f64();
+  // find_nearest converts threshold × name length to size_t, which is
+  // undefined for a negative or NaN threshold; the distance it bounds lies
+  // in [0, 1].
+  if (!(threshold >= 0.0 && threshold <= 1.0)) {
+    throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                           "bucketizer threshold outside [0, 1]");
+  }
   const std::size_t prefix_len = static_cast<std::size_t>(s.u64());
   const std::size_t n_reps = s.length(8);
   std::vector<std::string> reps(n_reps);

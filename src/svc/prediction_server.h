@@ -3,7 +3,7 @@
 // The batch pipeline prices a finished trace after the fact; this subsystem
 // is the same predictor run as a long-lived server. One ingest thread tails
 // a growing trace CSV (svc::CsvTailer), folds each event into the online
-// QSSF state exactly as core::OnlinePriorityEvaluator's serial loop would —
+// QSSF state exactly as core::OnlinePriorityEvaluator's causal replay does —
 // drain the pending-finish core::ReplayQueue, price, log, queue the job's
 // own finish — and on a cadence (a) checkpoints the whole server through
 // serialize::save_file and (b) publishes an immutable Snapshot. Any number

@@ -4,15 +4,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <memory_resource>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
-#include "common/arena.h"
 #include "common/csv.h"
 #include "common/env.h"
 #include "common/interner.h"
@@ -224,50 +221,6 @@ TEST(ThreadPool, NestedExceptionReachesOuterCaller) {
   }
   // The tasks that did not throw ran to completion before the rethrow.
   EXPECT_GE(inner_done.load(), (tasks_n - 1) * 1024);
-}
-
-TEST(MonotonicArena, BumpAllocatesAndAligns) {
-  common::MonotonicArena arena;
-  EXPECT_EQ(arena.bytes_reserved(), 0u);  // construction allocates nothing
-  EXPECT_EQ(arena.chunk_count(), 0u);
-  void* a = arena.allocate(10, 1);
-  void* b = arena.allocate(16, 16);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_GE(arena.bytes_used(), 26u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-  // deallocate is a no-op: the memory stays valid until the arena dies.
-  arena.deallocate(a, 10, 1);
-  std::memset(a, 0xab, 10);
-}
-
-TEST(MonotonicArena, ChunksGrowAndOversizedAllocationsWork) {
-  common::MonotonicArena arena(256);
-  for (int i = 0; i < 64; ++i) {
-    void* p = arena.allocate(64, 8);
-    std::memset(p, i, 64);  // every pointer must be distinct, writable memory
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);  // 4 KiB of 64B blocks outgrew 256B
-  // An allocation far beyond the doubling schedule gets its own chunk.
-  void* big = arena.allocate(std::size_t{3} << 20, 64);
-  ASSERT_NE(big, nullptr);
-  std::memset(big, 0xcd, std::size_t{3} << 20);
-  EXPECT_GE(arena.bytes_reserved(), std::size_t{3} << 20);
-}
-
-TEST(MonotonicArena, BacksPmrContainers) {
-  common::MonotonicArena arena;
-  {
-    std::pmr::unordered_map<int, int> m(&arena);
-    for (int i = 0; i < 1000; ++i) m[i] = i * 3;
-    EXPECT_EQ(m.at(999), 2997);
-    EXPECT_GT(arena.bytes_used(), 1000u * sizeof(int) * 2);
-  }
-  // The map's destructor "freed" into the arena (a no-op); only the arena's
-  // destruction releases the chunks.
-  EXPECT_GT(arena.bytes_reserved(), 0u);
 }
 
 TEST(Simd, DispatchGatesAreConsistent) {

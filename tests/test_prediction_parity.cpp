@@ -9,9 +9,9 @@
 //    row-set / subtraction / leaf-tracking machinery on top.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
-//  * OnlinePriorityEvaluator's chunked replay-window mode must reproduce
-//    the serial reference — priorities, prediction-quality vectors, and the
-//    service's final rolling state — for any window count.
+//  * OnlinePriorityEvaluator's batched mode (one predict_many pass for the
+//    GBDT half) must reproduce the per-job serial reference — priorities,
+//    prediction-quality vectors, and the service's final rolling state.
 //  * The AVX2 kernels (histogram accumulation, batched forest walk) must be
 //    bit-identical to the scalar forms: fits, predict_many, and evaluator
 //    output are compared with the dispatch forced on vs off. Skipped (not
@@ -21,12 +21,14 @@
 //    drives that path at test scale and must not change a single bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/simd.h"
 #include "core/qssf_service.h"
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
+#include "serialize/binary.h"
 #include "trace/synthetic.h"
 
 namespace {
@@ -262,7 +264,15 @@ TEST(SimdParity, WideShardedHistogramsMatchPackedAndReference) {
 namespace helios::core {
 namespace {
 
-TEST(EvaluatorParity, ChunkedMatchesSerialBitwise) {
+/// The estimator's persisted bytes: every user history, the global
+/// fallbacks and the dedupe set, in canonical order.
+std::vector<std::uint8_t> rolling_bytes(const RollingEstimator& rolling) {
+  serialize::Writer w;
+  rolling.save(w);
+  return w.buffer();
+}
+
+TEST(EvaluatorParity, BatchedMatchesSerialBitwise) {
   auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 13,
                                             0.02);
   const trace::Trace t = trace::SyntheticTraceGenerator(gen).generate();
@@ -274,44 +284,47 @@ TEST(EvaluatorParity, ChunkedMatchesSerialBitwise) {
   cfg.gbdt.n_trees = 15;
   for (const bool trained : {true, false}) {
     QssfService serial_svc(cfg);
-    QssfService chunked_svc(cfg);
+    QssfService batched_svc(cfg);
     if (trained) {
       serial_svc.fit(train);
-      chunked_svc.fit(train);
+      batched_svc.fit(train);
     }
     EvalOptions serial_opts;
     serial_opts.execution = common::ExecMode::kSerial;
     OnlinePriorityEvaluator serial_eval(serial_svc, eval, serial_opts);
+    EvalOptions batched_opts;
+    batched_opts.execution = common::ExecMode::kParallel;
+    OnlinePriorityEvaluator batched_eval(batched_svc, eval, batched_opts);
 
-    // Any window count must reproduce the serial result exactly, including
-    // windows far smaller than a thread would ever get.
-    for (const std::size_t windows : {1u, 3u, 8u}) {
-      QssfService svc(cfg);
-      if (trained) svc.fit(train);
-      EvalOptions opts;
-      opts.execution = common::ExecMode::kParallel;
-      opts.min_window = 1;
-      opts.max_windows = windows;
-      OnlinePriorityEvaluator chunked_eval(svc, eval, opts);
-      ASSERT_EQ(serial_eval.predicted_gpu_time(),
-                chunked_eval.predicted_gpu_time())
-          << "windows=" << windows << " trained=" << trained;
-      ASSERT_EQ(serial_eval.actual_gpu_time(), chunked_eval.actual_gpu_time());
-      for (const auto& j : eval.jobs()) {
-        if (!j.is_gpu_job()) continue;
-        ASSERT_EQ(serial_eval.priority_of(j), chunked_eval.priority_of(j))
-            << "job " << j.job_id << " windows=" << windows;
-        // The service's final rolling state must match the serial feed too.
-        ASSERT_EQ(serial_svc.rolling_estimate(eval, j),
-                  svc.rolling_estimate(eval, j))
-            << "job " << j.job_id << " windows=" << windows;
-      }
+    ASSERT_EQ(serial_eval.predicted_gpu_time(),
+              batched_eval.predicted_gpu_time())
+        << "trained=" << trained;
+    ASSERT_EQ(serial_eval.actual_gpu_time(), batched_eval.actual_gpu_time());
+    for (const auto& j : eval.jobs()) {
+      if (!j.is_gpu_job()) continue;
+      ASSERT_EQ(serial_eval.priority_of(j), batched_eval.priority_of(j))
+          << "job " << j.job_id << " trained=" << trained;
+      // The service's final rolling state must match the serial feed too.
+      ASSERT_EQ(serial_svc.rolling_estimate(eval, j),
+                batched_svc.rolling_estimate(eval, j))
+          << "job " << j.job_id << " trained=" << trained;
     }
+    const std::vector<std::uint8_t> after = rolling_bytes(batched_svc.rolling());
+    EXPECT_EQ(rolling_bytes(serial_svc.rolling()), after)
+        << "trained=" << trained;
+    // The first evaluated job finished long before the last submit, so the
+    // replay folded it in; feeding it again must be a no-op.
+    const auto first_gpu = std::find_if(
+        eval.jobs().begin(), eval.jobs().end(),
+        [](const trace::JobRecord& j) { return j.is_gpu_job(); });
+    ASSERT_NE(first_gpu, eval.jobs().end());
+    batched_svc.observe(eval, *first_gpu);
+    EXPECT_EQ(rolling_bytes(batched_svc.rolling()), after);
   }
 }
 
 // End-to-end dispatch sweep: the whole evaluator pipeline (GBDT fit +
-// batched predict_many + windowed replay) must produce bit-identical
+// batched predict_many + causal replay) must produce bit-identical
 // priorities and quality vectors with SIMD forced on vs forced off.
 TEST(EvaluatorParity, SimdDispatchBitIdentical) {
   {
@@ -340,61 +353,6 @@ TEST(EvaluatorParity, SimdDispatchBitIdentical) {
   const auto scalar_result = run(false);
   ASSERT_EQ(simd_result.first, scalar_result.first);
   ASSERT_EQ(simd_result.second, scalar_result.second);
-}
-
-// A copy-on-write overlay must be observationally bit-identical to a plain
-// estimator that started from a full copy of the base — estimates for known,
-// touched, and unknown users alike — while materializing only the user
-// histories its observe stream touched.
-TEST(EvaluatorParity, RollingOverlayMatchesFullCopy) {
-  auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 17,
-                                            0.02);
-  const trace::Trace t = trace::SyntheticTraceGenerator(gen).generate();
-  const auto train =
-      t.between(trace::helios_trace_begin(), from_civil(2020, 9, 1));
-  const auto eval = t.between(from_civil(2020, 9, 1), trace::helios_trace_end());
-
-  QssfConfig cfg;
-  auto base = std::make_shared<const RollingEstimator>([&] {
-    RollingEstimator r(cfg);
-    for (const auto& j : train.jobs()) r.observe(train, j);
-    return r;
-  }());
-
-  RollingEstimator full = *base;  // the reference: eager full copy
-  RollingOverlay overlay(base);
-  std::size_t fed = 0;
-  const trace::JobRecord* first_gpu = nullptr;
-  for (const auto& j : eval.jobs()) {
-    if (!j.is_gpu_job()) continue;
-    if (first_gpu == nullptr) first_gpu = &j;
-    // Interleave estimate checks with observes so both mid-stream and final
-    // states are compared.
-    ASSERT_EQ(full.estimate(eval, j), overlay.estimate(eval, j))
-        << "job " << j.job_id;
-    full.observe(eval, j);
-    overlay.observe(eval, j);
-    if (++fed >= 2000) break;
-  }
-  // The delta holds only touched users — strictly fewer than a full copy
-  // would carry (the September stream touches a subset of all-time users).
-  EXPECT_GT(overlay.delta_users(), 0u);
-  EXPECT_LT(overlay.delta_users(), t.users().size());
-  // ...and its delta's node storage bump-allocates from the overlay's own
-  // arena, not the global heap.
-  EXPECT_GT(overlay.arena_bytes(), 0u);
-
-  // Flattening reproduces the full-copy state exactly, double-feed dedupe
-  // included.
-  RollingEstimator flat = overlay.materialize();
-  EXPECT_EQ(flat.observed_jobs(), full.observed_jobs());
-  for (const auto& j : eval.jobs()) {
-    if (!j.is_gpu_job()) continue;
-    ASSERT_EQ(full.estimate(eval, j), flat.estimate(eval, j));
-  }
-  ASSERT_NE(first_gpu, nullptr);
-  flat.observe(eval, *first_gpu);  // already folded in: no-op
-  EXPECT_EQ(flat.observed_jobs(), full.observed_jobs());
 }
 
 TEST(EvaluatorParity, EmptyAndCpuOnlyTraces) {

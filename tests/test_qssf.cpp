@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/qssf_service.h"
 #include "sim/simulator.h"
@@ -123,6 +124,27 @@ TEST(QssfService, LambdaExtremesSelectEstimator) {
                             "alice_train_bert", JobState::kCompleted);
   EXPECT_DOUBLE_EQ(a.predict_duration(probe, j), a.rolling_estimate(probe, j));
   EXPECT_DOUBLE_EQ(b.predict_duration(probe, j), b.ml_estimate(probe, j));
+}
+
+TEST(QssfService, RejectsUnusableRollingKnobs) {
+  // A threshold outside [0, 1] (or NaN) would reach a double -> size_t
+  // conversion in name matching; a zero name cap would make the first new
+  // name's eviction erase end(). Both are refused at construction.
+  for (const double threshold : {-0.1, std::nan(""), 1.5}) {
+    QssfConfig cfg = fast_config();
+    cfg.name_match_threshold = threshold;
+    EXPECT_THROW(QssfService{cfg}, std::invalid_argument) << threshold;
+    EXPECT_THROW(RollingEstimator{cfg}, std::invalid_argument) << threshold;
+  }
+  QssfConfig no_names = fast_config();
+  no_names.max_names_per_user = 0;
+  EXPECT_THROW(QssfService{no_names}, std::invalid_argument);
+  QssfConfig edges = fast_config();
+  edges.name_match_threshold = 0.0;
+  edges.max_names_per_user = 1;
+  EXPECT_NO_THROW(QssfService{edges});
+  edges.name_match_threshold = 1.0;
+  EXPECT_NO_THROW(QssfService{edges});
 }
 
 TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {

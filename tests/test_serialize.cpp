@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -254,13 +255,10 @@ TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
         << "job " << job.job_id;
   }
 
-  // The full windowed evaluation — including the rolling state both services
-  // end up with — must be indistinguishable from the original's.
-  core::EvalOptions opts;
-  opts.min_window = 1;
-  opts.max_windows = 5;
-  core::OnlinePriorityEvaluator orig_eval(service, eval, opts);
-  core::OnlinePriorityEvaluator loaded_eval(loaded, eval, opts);
+  // The full evaluation — including the rolling state both services end up
+  // with — must be indistinguishable from the original's.
+  core::OnlinePriorityEvaluator orig_eval(service, eval);
+  core::OnlinePriorityEvaluator loaded_eval(loaded, eval);
   ASSERT_EQ(orig_eval.predicted_gpu_time(), loaded_eval.predicted_gpu_time());
   ASSERT_EQ(orig_eval.actual_gpu_time(), loaded_eval.actual_gpu_time());
   for (const auto& job : eval.jobs()) {
@@ -612,6 +610,118 @@ TEST(SerializeMalformed, QssfFeatureWidthMismatchRejected) {
     FAIL() << "expected kCorrupt";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorrupt);
+  }
+}
+
+/// Knob values the name matcher cannot run with: a negative, NaN or
+/// out-of-range threshold reaches a double -> size_t conversion, and a zero
+/// name cap makes observe's eviction erase the end of an empty list.
+struct RollingKnobs {
+  double threshold;
+  std::uint64_t max_names;
+};
+const std::vector<RollingKnobs>& unusable_knobs() {
+  static const std::vector<RollingKnobs> knobs = {
+      {-0.1, 64},
+      {std::numeric_limits<double>::quiet_NaN(), 64},
+      {std::numeric_limits<double>::infinity(), 64},
+      {1.5, 64},
+      {0.20, 0},
+  };
+  return knobs;
+}
+
+/// A hand-built ROLL section, otherwise valid, carrying the given knobs.
+serialize::Writer rolling_section(const RollingKnobs& knobs) {
+  serialize::Writer w;
+  w.begin_section(serialize::fourcc("ROLL"));
+  w.u32(1);                 // section version
+  w.u8(1);                  // use_names
+  w.f64(knobs.threshold);   // name_match_threshold
+  w.f64(0.75);              // rolling_decay
+  w.u64(knobs.max_names);   // max_names_per_user
+  w.f64(0.0);               // global_duration_sum
+  w.i64(0);                 // global_jobs
+  w.u64(0);                 // observe_counter
+  w.u64(0);                 // global_by_gpus: no entries
+  w.u64(0);                 // users: none
+  w.vec_u64({});            // observed ids: none
+  w.end_section();
+  return w;
+}
+
+TEST(SerializeMalformed, RollingKnobsRejected) {
+  {
+    // Control: the same section with the default knobs loads.
+    const serialize::Writer w = rolling_section({0.20, 64});
+    serialize::Reader r(w.buffer());
+    core::RollingEstimator rolling;
+    rolling.load(r);
+    EXPECT_EQ(rolling.observed_jobs(), 0);
+  }
+  for (const RollingKnobs& knobs : unusable_knobs()) {
+    const serialize::Writer w = rolling_section(knobs);
+    serialize::Reader r(w.buffer());
+    core::RollingEstimator rolling;
+    try {
+      rolling.load(r);
+      FAIL() << "expected kCorrupt for threshold " << knobs.threshold
+             << " max_names " << knobs.max_names;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
+  }
+}
+
+TEST(SerializeMalformed, QssfKnobsRejected) {
+  // The QSSF section carries its own copy of the knobs, ahead of the embedded
+  // ROLL section; a checkpoint whose copy a fresh service would refuse is
+  // refused too.
+  for (const RollingKnobs& knobs : unusable_knobs()) {
+    serialize::Writer w;
+    w.begin_section(serialize::fourcc("QSSF"));
+    w.u32(1);                // section version
+    w.f64(0.45);             // lambda
+    w.f64(knobs.threshold);  // name_match_threshold
+    w.f64(0.75);             // rolling_decay
+    w.u64(knobs.max_names);  // max_names_per_user
+    w.u8(1);                 // use_names
+    ml::GBDTRegressor().save(w);
+    ml::NameBucketizer().save(w);
+    core::RollingEstimator().save(w);
+    w.end_section();
+    serialize::Reader r(w.buffer());
+    core::QssfService svc;
+    try {
+      svc.load(r);
+      FAIL() << "expected kCorrupt for threshold " << knobs.threshold
+             << " max_names " << knobs.max_names;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
+  }
+}
+
+TEST(SerializeMalformed, BucketizerThresholdRejected) {
+  // The name bucketizer's matcher has the same double -> size_t conversion.
+  for (const double threshold : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(), 1.5}) {
+    serialize::Writer w;
+    w.begin_section(serialize::fourcc("NBKT"));
+    w.u32(1);           // section version
+    w.f64(threshold);
+    w.u64(6);           // prefix length
+    w.u64(0);           // no representatives
+    w.u64(0);           // no memoized names
+    w.end_section();
+    serialize::Reader r(w.buffer());
+    ml::NameBucketizer buckets;
+    try {
+      buckets.load(r);
+      FAIL() << "expected kCorrupt for threshold " << threshold;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
   }
 }
 
