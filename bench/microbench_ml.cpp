@@ -87,8 +87,7 @@ class ScopedSimd {
   bool prev_;
 };
 
-void run_fit(benchmark::State& state, ml::GBDTEngine engine, int simd = -1) {
-  ScopedSimd dispatch(simd);
+void run_fit(benchmark::State& state, ml::GBDTEngine engine) {
   const auto& data = philly_dataset();
   const auto cfg = philly_cfg(engine);
   for (auto _ : state) {
@@ -103,27 +102,17 @@ void run_fit(benchmark::State& state, ml::GBDTEngine engine, int simd = -1) {
 void BM_GbdtFit(benchmark::State& state) {
   run_fit(state, ml::GBDTEngine::kHistogram);
 }
-/// The same histogram engine with the SIMD dispatch forced off — the
-/// BM_GbdtFit/BM_GbdtFitScalar gap is the AVX2 histogram-kernel speedup.
-void BM_GbdtFitScalar(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kHistogram, /*simd=*/0);
-}
 void BM_GbdtFitReference(benchmark::State& state) {
   run_fit(state, ml::GBDTEngine::kReference);
 }
 BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GbdtFitScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GbdtFitReference)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Raw histogram kernel (the training hot loop, no tree machinery around it)
 // ---------------------------------------------------------------------------
 
-void run_hist_kernel(benchmark::State& state, bool simd) {
-  if (simd && !helios::common::simd_supported()) {
-    state.SkipWithError("AVX2 unavailable on this build/CPU");
-    return;
-  }
+void BM_HistogramKernel(benchmark::State& state) {
   const auto& data = philly_dataset();
   ml::FeatureBinner binner;
   Rng rng(3);
@@ -143,15 +132,9 @@ void run_hist_kernel(benchmark::State& state, bool simd) {
   for (auto _ : state) {
     std::fill(h0.begin(), h0.end(), 0);
     std::fill(h1.begin(), h1.end(), 0);
-    if (simd) {
-      ml::kernels::hist_accumulate_avx2(x.global.data(), x.features,
-                                        rows.data(), 0, x.rows, grad.data(),
-                                        h0.data(), h1.data());
-    } else {
-      ml::kernels::hist_accumulate_scalar(x.global.data(), x.features,
-                                          rows.data(), 0, x.rows, grad.data(),
-                                          h0.data(), h1.data());
-    }
+    ml::kernels::hist_accumulate(x.bins.data(), x.feature_offset.data(),
+                                 x.features, rows.data(), 0, x.rows,
+                                 grad.data(), h0.data(), h1.data());
     benchmark::DoNotOptimize(h0.data());
     benchmark::DoNotOptimize(h1.data());
   }
@@ -159,14 +142,7 @@ void run_hist_kernel(benchmark::State& state, bool simd) {
                           static_cast<std::int64_t>(x.rows * x.features));
 }
 
-void BM_HistogramKernel(benchmark::State& state) {
-  run_hist_kernel(state, /*simd=*/true);
-}
-void BM_HistogramKernelScalar(benchmark::State& state) {
-  run_hist_kernel(state, /*simd=*/false);
-}
 BENCHMARK(BM_HistogramKernel)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HistogramKernelScalar)->Unit(benchmark::kMillisecond);
 
 const ml::GBDTRegressor& philly_model() {
   static const ml::GBDTRegressor model = [] {
@@ -400,25 +376,15 @@ void verify_parity() {
     }
   }
 
-  // SIMD-vs-scalar gates: when the AVX2 dispatch can be forced on, a fit and
-  // a batched predict on each side of it must agree bit-for-bit — otherwise
-  // the BM_*Scalar comparisons time two different computations.
+  // SIMD-vs-scalar gate: when the AVX2 dispatch can be forced on, a batched
+  // predict on each side of it must agree bit-for-bit — otherwise the
+  // BM_GbdtPredictManyScalar comparison times a different computation.
   {
     const bool ambient = helios::common::simd_enabled();
     if (helios::common::set_simd_enabled(true)) {
-      ml::GBDTRegressor simd_model(cfg);
-      simd_model.fit(data);
-      const auto simd_batched = simd_model.predict_many(data);
+      const auto simd_batched = hist_model.predict_many(data);
       helios::common::set_simd_enabled(false);
-      ml::GBDTRegressor scalar_model(cfg);
-      scalar_model.fit(data);
-      if (!models_equal(simd_model, scalar_model)) {
-        std::fprintf(stderr,
-                     "FATAL: AVX2 histogram kernel diverges from the scalar "
-                     "form\n");
-        std::exit(1);
-      }
-      if (scalar_model.predict_many(data) != simd_batched) {
+      if (hist_model.predict_many(data) != simd_batched) {
         std::fprintf(stderr,
                      "FATAL: AVX2 forest walk diverges from the scalar "
                      "predict path\n");

@@ -33,13 +33,14 @@
 #                      each step under `timeout` so a deadlock fails instead
 #                      of hanging
 #   ./ci.sh docs       no build: verify that docs/ARCHITECTURE.md and
-#                      docs/FORMATS.md only reference files and CMake
-#                      targets that still exist
+#                      docs/FORMATS.md only reference files, CMake targets
+#                      and qualified names (`ml::PackedForest`) that still
+#                      exist
 #   ./ci.sh asan       separate build-asan tree with AddressSanitizer +
 #                      UndefinedBehaviorSanitizer (abort on first report),
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
-#                      sweep the AVX2 kernels, gather tail pads included
+#                      sweep the AVX2 forest walk, gather tail pads included
 #   ./ci.sh simd       full build + the fast suites twice: once with the
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
@@ -58,11 +59,11 @@ case "$mode" in
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
-# `dir/file.h` header reference, and every `test_*`/`microbench_*`/
-# `example_*` target named in the docs must resolve in the tree, so the
-# docs cannot silently rot as code moves.
+# `dir/file.h` header reference, every `test_*`/`microbench_*`/`example_*`
+# target and every `ns::name` named in the docs must resolve in the tree, so
+# the docs cannot silently rot as code moves.
 docs_check() {
-  local fail=0 doc ref tgt
+  local fail=0 doc ref tgt part
   for doc in docs/ARCHITECTURE.md docs/FORMATS.md; do
     if [ ! -f "$doc" ]; then
       echo "DOCS FAIL: $doc is missing" >&2
@@ -94,6 +95,19 @@ docs_check() {
       esac
     done < <(grep -oE '`(test|microbench|example)_[A-Za-z0-9_]+`' "$doc" \
              | tr -d '\`' | sort -u)
+    # Qualified names like `ml::PackedForest` or `sim::ClusterSimulator::run`:
+    # every component must be a word somewhere under src/, so a deleted or
+    # renamed API cannot linger in the docs.
+    while IFS= read -r ref; do
+      for part in ${ref//::/ }; do
+        if ! grep -rqw -- "$part" src; then
+          echo "DOCS FAIL: $doc references unknown name: $ref" >&2
+          fail=1
+          break
+        fi
+      done
+    done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' "$doc" \
+             | tr -d '\`' | sort -u)
   done
   if [ "$fail" -ne 0 ]; then
     echo "DOCS FAIL: stale references (see above)" >&2
@@ -119,10 +133,10 @@ if [ "$mode" = asan ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j "$(nproc)"
   cd build-asan
-  # Force the SIMD dispatch on: the AVX2 kernels' gathers (including the
-  # deliberate in-pad overreads) must run under ASan container annotations.
-  # On hardware without AVX2 the runtime support gate still wins and the
-  # scalar forms run instead.
+  # Force the SIMD dispatch on: the AVX2 forest walk's gathers (including
+  # the deliberate in-pad overreads) must run under ASan container
+  # annotations. On hardware without AVX2 the runtime support gate still
+  # wins and the scalar walk runs instead.
   export HELIOS_SIMD=1
   exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
 fi

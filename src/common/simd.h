@@ -1,6 +1,7 @@
-// Runtime SIMD dispatch for the hand-vectorized kernels (ml/gbdt_kernels.h).
+// Runtime SIMD dispatch for the hand-vectorized GBDT forest walk
+// (ml/gbdt_kernels.h).
 //
-// The AVX2 kernels live in one translation unit compiled with -mavx2
+// The AVX2 kernel lives in one translation unit compiled with -mavx2
 // (CMake's per-file COMPILE_OPTIONS); the rest of the library is built for
 // the baseline ISA, so the same binary runs on any x86-64 — the vector paths
 // are entered only when simd_enabled() says the CPU actually has AVX2.
@@ -16,16 +17,14 @@
 //                         use, overridable at runtime via set_simd_enabled()
 //                         (the parity tests sweep both paths with it).
 //
-// Contract: every SIMD kernel is bit-identical to its scalar twin —
-// histogram accumulation is integer adds (order-independent), the batched
-// forest walk performs the same mul/add per row — so flipping the dispatch
-// can never change results, only speed (test_prediction_parity and the
-// microbench_ml startup gate pin this; ./ci.sh simd runs the suites both
-// ways).
+// Contract: the SIMD walk is bit-identical to its scalar twin — it performs
+// the same mul/add per row — so flipping the dispatch can never change
+// results, only speed (test_prediction_parity and the microbench_ml startup
+// gate pin this; ./ci.sh simd runs the suites both ways).
 //
 // Thread-safety: all functions are safe to call concurrently;
 // set_simd_enabled() is a relaxed atomic store intended for test setup, not
-// for toggling mid-fit.
+// for toggling mid-predict.
 #pragma once
 
 #include <string_view>

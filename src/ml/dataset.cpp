@@ -136,8 +136,6 @@ BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner,
     x.feature_offset[f + 1] = x.feature_offset[f] + binner.bins(f);
   }
   if (layout == BinLayout::kRowMajor) {
-    const bool with_global = x.feature_offset[x.features] <= 0xffff;
-    if (with_global) x.global.resize(x.rows * x.features);
     // One sequential pass over the (row-major) dataset, four rows at a time:
     // the per-feature edge arrays all stay resident, and the interleaved
     // searches overlap their dependent-load chains.
@@ -145,13 +143,6 @@ BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner,
         0, x.rows,
         [&](std::size_t lo, std::size_t hi) {
           const std::size_t p = x.features;
-          const auto emit = [&](std::size_t r, std::size_t f, std::uint8_t b) {
-            x.bins[r * p + f] = b;
-            if (with_global) {
-              x.global[r * p + f] =
-                  static_cast<std::uint16_t>(x.feature_offset[f] + b);
-            }
-          };
           std::size_t r = lo;
           for (; r + 3 < hi; r += 4) {
             for (std::size_t f = 0; f < p; ++f) {
@@ -159,12 +150,14 @@ BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner,
                                    data.at(r + 2, f), data.at(r + 3, f)};
               std::uint8_t b[4];
               binner.bin4(f, v, b);
-              for (std::size_t j = 0; j < 4; ++j) emit(r + j, f, b[j]);
+              for (std::size_t j = 0; j < 4; ++j) {
+                x.bins[(r + j) * p + f] = b[j];
+              }
             }
           }
           for (; r < hi; ++r) {
             for (std::size_t f = 0; f < p; ++f) {
-              emit(r, f, binner.bin(f, data.at(r, f)));
+              x.bins[r * p + f] = binner.bin(f, data.at(r, f));
             }
           }
         },

@@ -161,10 +161,9 @@ enum class BinLayout {
   kColumnMajor,
 };
 
-/// Matrix of bin ids in either layout. Row-major matrices additionally carry
-/// a uint16 plane of globally-offset bin ids (feature_offset[f] + bin) when
-/// the total bin count fits — the GBDT histogram engine indexes its
-/// concatenated per-feature histograms with them in a single add.
+/// Matrix of bin ids in either layout. `feature_offset` places each
+/// feature's bins in one concatenated histogram: the GBDT histogram engine
+/// adds row r's gradient at feature_offset[f] + bin for every feature f.
 struct BinnedMatrix {
   /// Tail padding bytes appended to a non-empty row-major `bins` plane
   /// (bins.size() == rows * features + kSimdPad): the SIMD predict kernel
@@ -176,8 +175,9 @@ struct BinnedMatrix {
   std::size_t features = 0;
   BinLayout layout = BinLayout::kRowMajor;
   std::vector<std::uint8_t> bins;
-  std::vector<std::uint16_t> global;   ///< row-major only; may be empty
-  std::vector<int> feature_offset;     ///< exclusive prefix of bins-per-feature
+  /// Exclusive prefix of bins-per-feature (features + 1 entries; the last
+  /// is the total bin count).
+  std::vector<int> feature_offset;
 
   /// Row pointer; requires kRowMajor.
   [[nodiscard]] const std::uint8_t* row(std::size_t r) const noexcept {

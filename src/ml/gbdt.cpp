@@ -1,7 +1,6 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -67,42 +66,14 @@ void QuantizedGradients::assign(std::span<const double> gradients,
 
 namespace {
 
-/// The histogram engine packs each bucket into one int64:
-/// (gradient_sum << 24) + row_count. Counts stay below 2^24 (nodes with more
-/// rows shard into sub-limit packed accumulations merged into a wide
-/// histogram, see NodeHist) and |gradient_sum| below 2^38 (enforced by the
-/// QuantizedGradients scale), so the fields cannot bleed into each other and
-/// a single integer add updates both at once.
-constexpr int kCountBits = 24;
-/// Row-chunk grain of the parallel histogram accumulation; build_hist's
-/// buffer-recycling test must match it.
+/// Row-chunk grain of the parallel histogram accumulation, and the longest
+/// run one hist_accumulate call packs: build_hist's buffer-recycling test
+/// must match it.
 constexpr std::size_t kHistGrain = 16384;
-constexpr std::size_t kPackedRowLimit = std::size_t{1} << kCountBits;
-
-/// Runtime-injectable packed limit (gbdt_set_packed_row_limit): tests drive
-/// the wide/sharded path at small n instead of needing a 16.7M-row fixture.
-std::atomic<std::size_t> g_packed_row_limit{kPackedRowLimit};
-std::atomic<std::uint64_t> g_wide_builds{0};
-
-constexpr std::int64_t packed_sum(std::int64_t pack) noexcept {
-  return pack >> kCountBits;  // arithmetic shift = floor division: exact
-}
-constexpr std::int64_t packed_count(std::int64_t pack) noexcept {
-  return pack & ((std::int64_t{1} << kCountBits) - 1);
-}
-
-/// One node's histogram in either representation. Packed (the common case):
-/// `buf` holds total_bins single-int64 buckets. Wide (row count at or above
-/// the packed limit): `buf` holds 2 * total_bins entries — unpacked gradient
-/// sums in [0, total_bins), row counts in [total_bins, 2 * total_bins) — so
-/// counts are full int64 and the 24-bit cap disappears. Both are exact
-/// integers, so subtraction and shard merges stay bit-exact, and
-/// best_split_scan sees identical (sum, count) streams either way.
-struct NodeHist {
-  std::vector<std::int64_t> buf;
-  bool wide = false;
-  [[nodiscard]] bool empty() const noexcept { return buf.empty(); }
-};
+using kernels::kCountBits;
+// A packed bucket's row count cannot reach the sum field within one run, so
+// training sets of any size stay exact without a second representation.
+static_assert(kHistGrain < (std::size_t{1} << kCountBits));
 
 struct SplitDecision {
   double gain = 0.0;
@@ -120,15 +91,14 @@ double leaf_value(std::int64_t total_q, std::int64_t total_cnt, double inv_scale
          (static_cast<double>(total_cnt) + cfg.lambda);
 }
 
-/// Best split for one feature from its gradient histogram, generic over the
-/// bucket representation: `bucket(b)` returns the exact (sum_q, count) of
-/// bin b. One implementation serves both engines, so identical (exact)
-/// histograms give identical decisions by construction.
-template <typename BucketFn>
-SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
-                              std::int64_t total_q, std::int64_t total_cnt,
-                              double inv_scale, std::int32_t feature,
-                              const GBDTConfig& cfg) {
+/// Best split for one feature from its exact (sum_q, count) histogram. Both
+/// engines call it, so identical histograms give identical decisions by
+/// construction.
+SplitDecision best_split_for_feature(const std::int64_t* hist_sum,
+                                     const std::int64_t* hist_cnt, int n_bins,
+                                     std::int64_t total_q, std::int64_t total_cnt,
+                                     double inv_scale, std::int32_t feature,
+                                     const GBDTConfig& cfg) {
   SplitDecision best;
   const double total_sum = static_cast<double>(total_q) * inv_scale;
   const double parent_score =
@@ -136,9 +106,8 @@ SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
   std::int64_t left_q = 0;
   std::int64_t left_cnt = 0;
   for (int b = 0; b + 1 < n_bins; ++b) {
-    const auto [sum_q, count] = bucket(b);
-    left_q += sum_q;
-    left_cnt += count;
+    left_q += hist_sum[b];
+    left_cnt += hist_cnt[b];
     const std::int64_t right_cnt = total_cnt - left_cnt;
     if (left_cnt < cfg.min_samples_leaf) continue;
     if (right_cnt < cfg.min_samples_leaf) break;
@@ -157,27 +126,6 @@ SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
     }
   }
   return best;
-}
-
-/// Reference-engine view: separate sum/count arrays.
-SplitDecision best_split_for_feature(const std::int64_t* hist_sum,
-                                     const std::int64_t* hist_cnt, int n_bins,
-                                     std::int64_t total_q, std::int64_t total_cnt,
-                                     double inv_scale, std::int32_t feature,
-                                     const GBDTConfig& cfg) {
-  return best_split_scan(
-      [&](int b) { return std::pair(hist_sum[b], hist_cnt[b]); }, n_bins,
-      total_q, total_cnt, inv_scale, feature, cfg);
-}
-
-/// Histogram-engine view: packed single-int64 buckets.
-SplitDecision best_split_packed(const std::int64_t* hist, int n_bins,
-                                std::int64_t total_q, std::int64_t total_cnt,
-                                double inv_scale, std::int32_t feature,
-                                const GBDTConfig& cfg) {
-  return best_split_scan(
-      [&](int b) { return std::pair(packed_sum(hist[b]), packed_count(hist[b])); },
-      n_bins, total_q, total_cnt, inv_scale, feature, cfg);
 }
 
 /// Retained reference trainer: per-node histograms rebuilt from scratch over
@@ -258,11 +206,15 @@ struct ReferenceBuilder {
 
 /// Histogram engine: persistent row sets partitioned in place over a
 /// row-major binned matrix (a row's features are adjacent bytes, so each row
-/// costs 1-2 cache lines), packed single-int64 buckets, row-parallel
-/// accumulation into per-chunk buffers merged in chunk order on the shared
-/// pool, and the sibling-subtraction trick — only the smaller child scans
-/// its rows; the larger child's histogram is parent minus sibling, exact in
-/// int64.
+/// costs 1-2 cache lines), row-parallel accumulation into per-chunk buffers
+/// merged in chunk order on the shared pool, and the sibling-subtraction
+/// trick — only the smaller child scans its rows; the larger child's
+/// histogram is parent minus sibling, exact in int64.
+///
+/// Every node histogram is 2 * total_bins int64: gradient sums in
+/// [0, total_bins), row counts in [total_bins, 2 * total_bins), feature f's
+/// bins at feature_offset[f]. Packed (sum << kCountBits) | count buckets
+/// exist only inside one kernel run of at most kHistGrain rows.
 struct HistogramBuilder {
   const BinnedMatrix& x;
   const FeatureBinner& binner;
@@ -272,26 +224,12 @@ struct HistogramBuilder {
   std::vector<RegressionTree::Node>& nodes;
   std::span<std::int32_t> leaf_of;
 
-  std::size_t p = 0;
-  int total_bins = 0;
-  std::vector<int> offset;             // per-feature slice into a histogram
-  std::size_t packed_limit = kPackedRowLimit;  // node rows >= this go wide
-  bool use_simd = false;               // resolved once per tree fit
   // Freed node histograms for reuse (allocating + zeroing ~9KB per node adds
   // up over thousands of nodes per fit).
   std::vector<std::vector<std::int64_t>> hist_pool;
 
-  void init() {
-    p = x.features;
-    offset.resize(p);
-    total_bins = 0;
-    for (std::size_t f = 0; f < p; ++f) {
-      offset[f] = total_bins;
-      total_bins += binner.bins(f);
-    }
-    packed_limit = std::max<std::size_t>(
-        2, g_packed_row_limit.load(std::memory_order_relaxed));
-    use_simd = common::simd_enabled();
+  [[nodiscard]] std::size_t total_bins() const noexcept {
+    return static_cast<std::size_t>(x.feature_offset.back());
   }
 
   [[nodiscard]] std::vector<std::int64_t> take_buffer(std::size_t size) {
@@ -305,36 +243,9 @@ struct HistogramBuilder {
     if (!h.empty()) hist_pool.push_back(std::move(h));
   }
 
-  /// Node histogram in whichever representation the row count dictates.
-  [[nodiscard]] NodeHist build_hist(std::span<const std::uint32_t> rows) {
-    if (rows.size() < packed_limit) return {build_hist_packed(rows), false};
-    return build_hist_wide(rows);
-  }
-
-  /// Wide path: shard the rows into sub-limit runs, accumulate each through
-  /// the (parallel, SIMD-dispatched) packed kernel, and merge the unpacked
-  /// (sum, count) fields into the two-field wide buffer. Every step is exact
-  /// int64 arithmetic, so the result equals what an unbounded packed
-  /// accumulation would hold — sharding cannot change a split decision.
-  [[nodiscard]] NodeHist build_hist_wide(std::span<const std::uint32_t> rows) {
-    const auto nb = static_cast<std::size_t>(total_bins);
-    NodeHist out{take_buffer(2 * nb), /*wide=*/true};
-    const std::size_t shard = packed_limit - 1;  // counts stay below the cap
-    for (std::size_t s = 0; s < rows.size(); s += shard) {
-      const std::size_t len = std::min(shard, rows.size() - s);
-      std::vector<std::int64_t> part = build_hist_packed(rows.subspan(s, len));
-      for (std::size_t b = 0; b < nb; ++b) {
-        out.buf[b] += packed_sum(part[b]);
-        out.buf[nb + b] += packed_count(part[b]);
-      }
-      recycle(std::move(part));
-    }
-    g_wide_builds.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-
-  [[nodiscard]] std::vector<std::int64_t> build_hist_packed(
+  [[nodiscard]] std::vector<std::int64_t> build_hist(
       std::span<const std::uint32_t> rows) {
+    const std::size_t nb = total_bins();
     // Buffer recycling is only safe when accumulate runs on this thread: a
     // 1-thread pool, or a node small enough that parallel_map_reduce stays
     // single-chunk (rows <= grain) and therefore inline. Multi-threaded
@@ -342,45 +253,31 @@ struct HistogramBuilder {
     const bool pooled =
         global_pool().thread_count() <= 1 || rows.size() <= kHistGrain;
     const auto accumulate = [&](std::size_t lo, std::size_t hi) {
-      // Two arenas, alternating rows: consecutive rows that hit the same
-      // bucket would otherwise serialize on the store-to-load forward of one
-      // int64 — skewed (categorical-like) features do this constantly. The
-      // arenas merge exactly (integer adds), so parity is unaffected. The
-      // uint16 global plane folds the per-feature histogram offset into the
-      // matrix itself: one indexed add per cell.
-      const auto nb = static_cast<std::size_t>(total_bins);
       std::vector<std::int64_t> h = pooled
                                         ? take_buffer(2 * nb)
                                         : std::vector<std::int64_t>(2 * nb, 0);
-      std::int64_t* h0 = h.data();
-      std::int64_t* h1 = h.data() + nb;
-      if (x.global.empty()) {
-        // Generic fallback (> 64k total bins): uint8 bins + explicit offsets.
-        const int* off = offset.data();
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::uint8_t* rb = x.bins.data() + rows[k] * p;
-          const std::int64_t gp =
-            (static_cast<std::int64_t>(grad[rows[k]]) << kCountBits) | 1;
-          for (std::size_t f = 0; f < p; ++f) {
-            h0[static_cast<std::size_t>(off[f]) + rb[f]] += gp;
-          }
+      // Two packed arenas, alternating rows: consecutive rows that hit the
+      // same bucket would otherwise serialize on the store-to-load forward
+      // of one int64 — skewed (categorical-like) features do this
+      // constantly. Each run is unpacked into (sum, count) and the arenas
+      // are left zeroed for the next run on this thread.
+      thread_local std::vector<std::int64_t> packed;
+      packed.resize(2 * nb);
+      std::int64_t* h0 = packed.data();
+      std::int64_t* h1 = packed.data() + nb;
+      for (std::size_t s = lo; s < hi; s += kHistGrain) {
+        kernels::hist_accumulate(x.bins.data(), x.feature_offset.data(),
+                                 x.features, rows.data(), s,
+                                 std::min(hi, s + kHistGrain), grad.data(),
+                                 h0, h1);
+        for (std::size_t b = 0; b < nb; ++b) {
+          const std::int64_t pack = h0[b] + h1[b];
+          h0[b] = 0;
+          h1[b] = 0;
+          h[b] += pack >> kCountBits;  // arithmetic shift: exact floor
+          h[nb + b] += pack & ((std::int64_t{1} << kCountBits) - 1);
         }
-        h.resize(nb);
-        return h;
       }
-      // The accumulation loop lives in ml/gbdt_kernels.h: the scalar form is
-      // the exact two-arena loop this function always ran; the AVX2 form is
-      // bit-identical (integer adds reassociate exactly) and chosen once per
-      // fit by the runtime dispatch.
-      if (use_simd) {
-        kernels::hist_accumulate_avx2(x.global.data(), p, rows.data(), lo, hi,
-                                      grad.data(), h0, h1);
-      } else {
-        kernels::hist_accumulate_scalar(x.global.data(), p, rows.data(), lo,
-                                        hi, grad.data(), h0, h1);
-      }
-      for (std::size_t b = 0; b < nb; ++b) h0[b] += h1[b];
-      h.resize(nb);
       return h;
     };
     // int64 buckets merge exactly in any order, so per-chunk buffers built
@@ -392,24 +289,9 @@ struct HistogramBuilder {
         });
   }
 
-  /// Best split for feature f, reading whichever bucket view `hist` holds.
-  [[nodiscard]] SplitDecision split_feature(const NodeHist& hist, std::size_t f,
-                                            std::int64_t total_q,
-                                            std::int64_t total_cnt) const {
-    if (hist.wide) {
-      const auto nb = static_cast<std::size_t>(total_bins);
-      return best_split_for_feature(
-          hist.buf.data() + offset[f], hist.buf.data() + nb + offset[f],
-          binner.bins(f), total_q, total_cnt, inv_scale,
-          static_cast<std::int32_t>(f), cfg);
-    }
-    return best_split_packed(hist.buf.data() + offset[f], binner.bins(f),
-                             total_q, total_cnt, inv_scale,
-                             static_cast<std::int32_t>(f), cfg);
-  }
-
-  std::int32_t build(std::span<std::uint32_t> rows, NodeHist hist,
-                     std::int64_t total_q, int depth) {
+  std::int32_t build(std::span<std::uint32_t> rows,
+                     std::vector<std::int64_t> hist, std::int64_t total_q,
+                     int depth) {
     const auto node_id = static_cast<std::int32_t>(nodes.size());
     nodes.emplace_back();
     const auto total_cnt = static_cast<std::int64_t>(rows.size());
@@ -423,17 +305,23 @@ struct HistogramBuilder {
 
     if (depth >= cfg.max_depth ||
         total_cnt < 2 * static_cast<std::int64_t>(cfg.min_samples_leaf)) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
+    const std::size_t p = x.features;
+    const std::int64_t* sums = hist.data();
+    const std::int64_t* counts = hist.data() + total_bins();
     SplitDecision best;
     for (std::size_t f = 0; f < p; ++f) {
-      const SplitDecision d = split_feature(hist, f, total_q, total_cnt);
+      const int off = x.feature_offset[f];
+      const SplitDecision d = best_split_for_feature(
+          sums + off, counts + off, binner.bins(f), total_q, total_cnt,
+          inv_scale, static_cast<std::int32_t>(f), cfg);
       if (d.gain > best.gain) best = d;
     }
     if (best.feature < 0 || best.gain <= 1e-12) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
@@ -443,7 +331,7 @@ struct HistogramBuilder {
     // post-partition guard.)
     const std::size_t n_left = static_cast<std::size_t>(best.left_cnt);
     if (n_left == 0 || n_left == rows.size()) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
@@ -489,13 +377,11 @@ struct HistogramBuilder {
              static_cast<std::int64_t>(n_rows) >=
                  2 * static_cast<std::int64_t>(cfg.min_samples_leaf);
     };
-    NodeHist left_hist;
-    NodeHist right_hist;
+    std::vector<std::int64_t> left_hist;
+    std::vector<std::int64_t> right_hist;
     if (will_split(left_rows.size()) || will_split(right_rows.size())) {
       // Build the smaller child's histogram; the larger child's is the
-      // parent's minus the sibling's, exact in int64. (A wide parent keeps
-      // its derived child wide even if that child's count re-fits the packed
-      // cap — the representations subtract exactly either way.)
+      // parent's minus the sibling's, exact in int64.
       if (left_rows.size() <= right_rows.size()) {
         left_hist = build_hist(left_rows);
         right_hist = std::move(hist);
@@ -506,7 +392,7 @@ struct HistogramBuilder {
         subtract(left_hist, right_hist);
       }
     } else {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
     }
     const std::int32_t left =
         build(left_rows, std::move(left_hist), best.left_q, depth + 1);
@@ -518,24 +404,9 @@ struct HistogramBuilder {
     return node_id;
   }
 
-  void subtract(NodeHist& parent, const NodeHist& child) const {
-    if (parent.wide == child.wide) {
-      // Same representation: elementwise over the whole buffer (for wide,
-      // that subtracts the sum and count halves in one sweep).
-      for (std::size_t b = 0; b < parent.buf.size(); ++b) {
-        parent.buf[b] -= child.buf[b];
-      }
-      return;
-    }
-    // Wide parent, packed child: unpack the child's fields into the two
-    // halves. (A packed parent cannot have a wide child — the child's rows
-    // are a subset of the parent's.)
-    assert(parent.wide && !child.wide);
-    const auto nb = static_cast<std::size_t>(total_bins);
-    for (std::size_t b = 0; b < nb; ++b) {
-      parent.buf[b] -= packed_sum(child.buf[b]);
-      parent.buf[nb + b] -= packed_count(child.buf[b]);
-    }
+  static void subtract(std::vector<std::int64_t>& parent,
+                       const std::vector<std::int64_t>& child) {
+    for (std::size_t b = 0; b < parent.size(); ++b) parent[b] -= child[b];
   }
 };
 
@@ -562,22 +433,19 @@ void RegressionTree::fit(const BinnedMatrix& x, const FeatureBinner& binner,
     builder.build(rows, 0);
     return;
   }
-  HistogramBuilder builder{x,  binner,  grad.q, grad.inv_scale,
-                           cfg, nodes_, leaf_of};
-  builder.init();
+  HistogramBuilder builder{x,   binner,  grad.q,  grad.inv_scale,
+                           cfg, nodes_, leaf_of, {}};
   const bool root_splits =
       cfg.max_depth > 0 &&
       rows.size() >= static_cast<std::size_t>(2 * cfg.min_samples_leaf);
-  NodeHist root_hist;
+  std::vector<std::int64_t> root_hist;
   if (root_splits) root_hist = builder.build_hist(rows);
   std::int64_t total_q = 0;
-  if (!root_hist.empty() && builder.p > 0) {
+  if (!root_hist.empty() && x.features > 0) {
     // Feature 0's slice counts every row exactly once: its bucket sums add
-    // up to the root gradient total, saving the row scan. (Wide buffers
-    // store sums unpacked in the first half.)
+    // up to the root gradient total, saving the row scan.
     for (int b = 0; b < binner.bins(0); ++b) {
-      const std::int64_t bucket = root_hist.buf[static_cast<std::size_t>(b)];
-      total_q += root_hist.wide ? bucket : packed_sum(bucket);
+      total_q += root_hist[static_cast<std::size_t>(b)];
     }
   } else {
     for (const std::uint32_t r : rows) total_q += grad.q[r];
@@ -641,9 +509,6 @@ void GBDTRegressor::fit(const Dataset& full_data) {
   // guard the mean below would be 0/0 and every prediction NaN.
   if (n == 0) return;
 
-  // No engine fallback on size: nodes whose row count reaches the packed
-  // 24-bit limit build wide sharded histograms instead (NodeHist), so the
-  // histogram engine handles cluster-lifetime training sets directly.
   const GBDTConfig& cfg = config_;
 
   double mean = 0.0;
@@ -877,6 +742,7 @@ void RegressionTree::load(serialize::Reader& r, std::size_t n_features) {
   // zero-node tree can only be corruption.
   if (count == 0) corrupt("tree with zero nodes");
   std::vector<Node> nodes(count);
+  std::vector<std::uint32_t> parents(count, 0);
   for (std::size_t i = 0; i < count; ++i) {
     Node& n = nodes[i];
     n.feature = s.i32();
@@ -901,6 +767,17 @@ void RegressionTree::load(serialize::Reader& r, std::size_t n_features) {
     };
     if (!in_range(n.left) || !in_range(n.right)) {
       corrupt("tree node " + std::to_string(i) + " has out-of-order children");
+    }
+    ++parents[static_cast<std::size_t>(n.left)];
+    ++parents[static_cast<std::size_t>(n.right)];
+  }
+  // Every node but the root hangs under exactly one parent, as fit() writes
+  // it. A shared child would be reached at two depths, and PackedForest
+  // (which pads each tree by node depth) would disagree with predict().
+  for (std::size_t i = 1; i < count; ++i) {
+    if (parents[i] != 1) {
+      corrupt("tree node " + std::to_string(i) + " has " +
+              std::to_string(parents[i]) + " parents");
     }
   }
   s.close("tree");
@@ -983,15 +860,6 @@ void GBDTRegressor::load(serialize::Reader& r) {
   binner_ = std::move(binner);
   trees_ = std::move(trees);
   forest_.build(trees_);
-}
-
-std::size_t gbdt_set_packed_row_limit(std::size_t limit) noexcept {
-  return g_packed_row_limit.exchange(limit == 0 ? kPackedRowLimit : limit,
-                                     std::memory_order_relaxed);
-}
-
-std::uint64_t gbdt_wide_histogram_builds() noexcept {
-  return g_wide_builds.load(std::memory_order_relaxed);
 }
 
 void PackedForest::build(std::span<const RegressionTree> trees) {

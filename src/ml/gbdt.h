@@ -15,7 +15,11 @@
 //    subtracting from the parent, accumulates histograms row-parallel into
 //    per-chunk buffers merged on the shared ThreadPool, and tracks each
 //    sampled row's leaf during construction so the per-tree prediction
-//    update is an O(1) lookup per row over the binned matrix.
+//    update is an O(1) lookup per row over the binned matrix. A node
+//    histogram holds separate int64 gradient sums and row counts; the
+//    accumulation kernel (ml/gbdt_kernels.h) packs both into one int64 per
+//    bucket only within runs of at most 16384 rows, so training-set size is
+//    unbounded.
 //  * GBDTEngine::kReference retains the straightforward pre-histogram-engine
 //    trainer: every node rebuilds its histograms from scratch and the
 //    prediction update re-traverses raw features row by row. It exists as
@@ -26,15 +30,10 @@
 // histogram sums are exact under any accumulation order and under sibling
 // subtraction, so split decisions and leaf values cannot drift.
 //
-// The histogram engine's two hottest loops — histogram accumulation and the
-// batched predict_many walk — additionally have AVX2 forms (ml/gbdt_kernels.h)
-// selected at runtime via common::simd_enabled(); both are bit-identical to
-// their scalar twins (integer adds reassociate exactly; the forest walk
-// performs the same mul/add per row), so dispatch changes speed only.
-// Training-set size is unbounded: nodes whose row count reaches the packed
-// 24-bit limit accumulate shard-by-shard into a wide two-field histogram
-// merged exactly in int64 (gbdt_set_packed_row_limit lets tests drive the
-// shard path at small n).
+// The batched predict_many walk additionally has an AVX2 form
+// (ml/gbdt_kernels.h) selected at runtime via common::simd_enabled(); it
+// performs the same mul/add per row as the scalar walk, so dispatch changes
+// speed only. Training has one scalar kernel and never reads the dispatch.
 //
 // Determinism: fit() is a pure function of (dataset, config) — the same
 // inputs produce the same trees bit-for-bit on any thread count and either
@@ -140,9 +139,11 @@ class RegressionTree {
   [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
 
   /// Persist / restore the node array ("TREE" section, docs/FORMATS.md).
-  /// load() validates the tree shape (preorder child links, in-range feature
-  /// ids against `n_features`) so a corrupt file cannot make predict() read
-  /// out of bounds or loop forever; it throws serialize::Error instead.
+  /// load() validates the tree shape (preorder child links, exactly one
+  /// parent per non-root node, in-range feature ids against `n_features`) so
+  /// a corrupt file cannot make predict() read out of bounds or loop
+  /// forever, nor make predict_many() disagree with predict(); it throws
+  /// serialize::Error instead.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r, std::size_t n_features);
 
@@ -150,36 +151,16 @@ class RegressionTree {
   std::vector<Node> nodes_;
 };
 
-/// Test/bench hooks for the histogram sharding machinery. Node histograms
-/// with at least `limit` rows switch from packed single-int64 buckets to the
-/// wide (separate sum/count) representation built shard-by-shard; the default
-/// (and the cap restored by passing 0) is 2^24, the packed count width.
-/// Returns the previous limit. Not for concurrent use with a running fit().
-std::size_t gbdt_set_packed_row_limit(std::size_t limit) noexcept;
-/// Number of wide (sharded) histogram builds since process start — lets the
-/// shard-path tests prove the wide representation actually ran.
-[[nodiscard]] std::uint64_t gbdt_wide_histogram_builds() noexcept;
-
-/// Contiguous SoA flattening of a fitted forest for batched inference: all
-/// trees' nodes live in four parallel arrays indexed by a global node id, so
-/// the SIMD walk gathers split/child/value with single indexed loads instead
-/// of chasing 36-byte Node structs.
-///
-/// Encoding: split[i] = (feature << 8) | split_bin for interior nodes; a
-/// leaf stores split_bin = 255 with feature 0 and children pointing at
-/// itself — since bin ids are uint8, every row compares <= 255 and
-/// self-loops, which makes a fixed-depth walk branchless (depth[t] is the
-/// tree's maximum leaf depth; walking exactly that many steps parks every
-/// row in its leaf).
 /// Implicit-heap SoA layout of a fitted forest for the SIMD predict walk.
 ///
 /// Every tree is padded to the forest-wide depth `levels` (leaves shallower
 /// than that are replicated into both phantom children all the way down), so
 /// a walk needs no child pointers at all: from heap slot i the next slot is
 /// 2*i + 1 + go_right, and after `levels` steps the slot index maps straight
-/// into the per-tree leaf-value row. That turns the inner predict step from
-/// three dependent gathers (split, bins, child) into two (split, bins) plus
-/// pure arithmetic — the child array of the previous layout is gone.
+/// into the per-tree leaf-value row. The inner predict step is two
+/// dependent gathers (split, bins) plus pure arithmetic. Node depths come
+/// from parent links, which is why RegressionTree::load() refuses a node
+/// with two parents.
 ///
 /// Memory is n_trees * (2^levels - 1) int32 splits + n_trees * 2^levels
 /// double leaves; build() refuses forests deeper than kMaxLevels (leaving

@@ -1,46 +1,36 @@
-// Scalar forms of the GBDT hot kernels (see gbdt_kernels.h). These are the
-// parity reference for the AVX2 TU and the only forms used when dispatch is
-// off — they carry the exact loop shapes the histogram engine ran before the
-// kernels were split out, so "scalar path no slower than before" holds by
-// construction.
+// Scalar GBDT kernels (see gbdt_kernels.h): the one histogram accumulation
+// loop, and the forest walk that is the parity reference for the AVX2 TU and
+// the only form used when dispatch is off.
 #include "ml/gbdt_kernels.h"
 
 #include "ml/gbdt.h"
 
 namespace helios::ml::kernels {
 
-void hist_accumulate_scalar(const std::uint16_t* gbins, std::size_t p,
-                            const std::uint32_t* rows, std::size_t lo,
-                            std::size_t hi, const std::int32_t* grad,
-                            std::int64_t* h0, std::int64_t* h1) noexcept {
-  constexpr int kCountBits = 24;
+void hist_accumulate(const std::uint8_t* bins, const int* offset,
+                     std::size_t p, const std::uint32_t* rows, std::size_t lo,
+                     std::size_t hi, const std::int32_t* grad,
+                     std::int64_t* h0, std::int64_t* h1) noexcept {
   std::size_t k = lo;
   for (; k + 1 < hi; k += 2) {
     const std::size_t r0 = rows[k];
     const std::size_t r1 = rows[k + 1];
-    const std::uint16_t* rb0 = gbins + r0 * p;
-    const std::uint16_t* rb1 = gbins + r1 * p;
+    const std::uint8_t* rb0 = bins + r0 * p;
+    const std::uint8_t* rb1 = bins + r1 * p;
     const std::int64_t g0 =
         (static_cast<std::int64_t>(grad[r0]) << kCountBits) | 1;
     const std::int64_t g1 =
         (static_cast<std::int64_t>(grad[r1]) << kCountBits) | 1;
-    std::size_t f = 0;
-    for (; f + 2 <= p; f += 2) {
-      h0[rb0[f]] += g0;
-      h1[rb1[f]] += g1;
-      h0[rb0[f + 1]] += g0;
-      h1[rb1[f + 1]] += g1;
-    }
-    for (; f < p; ++f) {
-      h0[rb0[f]] += g0;
-      h1[rb1[f]] += g1;
+    for (std::size_t f = 0; f < p; ++f) {
+      h0[offset[f] + rb0[f]] += g0;
+      h1[offset[f] + rb1[f]] += g1;
     }
   }
   for (; k < hi; ++k) {
-    const std::uint16_t* rb = gbins + rows[k] * p;
+    const std::uint8_t* rb = bins + rows[k] * p;
     const std::int64_t gp =
         (static_cast<std::int64_t>(grad[rows[k]]) << kCountBits) | 1;
-    for (std::size_t f = 0; f < p; ++f) h0[rb[f]] += gp;
+    for (std::size_t f = 0; f < p; ++f) h0[offset[f] + rb[f]] += gp;
   }
 }
 

@@ -1,25 +1,20 @@
-// The GBDT histogram engine's two hot kernels, each in a scalar and an AVX2
-// form. Callers pick a form through common::simd_enabled() (common/simd.h);
-// the AVX2 definitions live in gbdt_kernels_avx2.cpp, the only translation
-// unit compiled with -mavx2, so the rest of the library stays baseline-ISA.
+// The GBDT engine's two hot kernels. Histogram accumulation has one scalar
+// form; the batched forest walk has a scalar and an AVX2 form, picked
+// through common::simd_enabled() (common/simd.h). The AVX2 definition lives
+// in gbdt_kernels_avx2.cpp, the only translation unit compiled with -mavx2,
+// so the rest of the library stays baseline-ISA.
 //
-// Bit-exactness contract (what lets dispatch flip freely):
-//  * hist_accumulate_*: pure int64 adds into packed (grad<<24)|count buckets.
-//    Integer addition is associative and commutative, so gathering four
-//    buckets at once and adding lane-wise equals the scalar row loop exactly.
-//    Within one row all updated buckets are distinct (the uint16 global
-//    plane offsets each feature into its own histogram slice), and the two
-//    in-flight rows write disjoint arenas (h0/h1), so no gather/store pair
-//    ever races a read-modify-write of the same bucket.
+//  * hist_accumulate: pure int64 adds into packed (grad << kCountBits) | 1
+//    buckets over one run of rows. Integer addition is associative and
+//    commutative, so the result is exact whatever the row order or arena.
 //  * predict_forest_*: for each row, accumulates out = ((out + lr*v_tree0) +
 //    lr*v_tree1) + ... in tree order with separate multiply and add — the
-//    identical double-precision operation sequence as the scalar
-//    tree-at-a-time walk (the AVX2 TU is compiled without -mfma and uses
-//    explicit mul/add intrinsics, so no fused contraction can sneak in).
+//    identical double-precision operation sequence in both forms (the AVX2
+//    TU is compiled without -mfma and uses explicit mul/add intrinsics, so
+//    no fused contraction can sneak in). Dispatch changes speed only.
 //
-// The AVX2 entry points must only be called when common::simd_supported()
-// is true; on a binary built without AVX2 support they are compiled as
-// aborting stubs.
+// predict_forest_avx2 must only be called when common::simd_supported() is
+// true; on a binary built without AVX2 support it is an aborting stub.
 #pragma once
 
 #include <cstddef>
@@ -31,27 +26,20 @@ struct PackedForest;
 
 namespace kernels {
 
-/// Rows the AVX2 bin gather may read past the end of a row-major
-/// BinnedMatrix::bins plane: a 4-byte epi32 gather of the last uint8 cell
-/// touches 3 bytes beyond it. bin_dataset() pads the plane by this much.
-inline constexpr std::size_t kBinGatherPad = 3;
+/// Bits a packed histogram bucket reserves for its row count: a bucket
+/// holds (gradient_sum << kCountBits) + row_count, so one integer add
+/// updates both fields. A run must stay below 2^kCountBits rows.
+inline constexpr int kCountBits = 24;
 
-/// Accumulate rows[lo, hi) of the uint16 globally-offset bin plane into two
-/// packed histogram arenas (h0/h1, each `total_bins` buckets; caller merges
-/// h1 into h0): h[gbins[r*p + f]] += (grad[r] << 24) | 1 for every feature.
-/// Alternating rows between the arenas hides the store-to-load forward that
-/// serializes consecutive same-bucket updates.
-void hist_accumulate_scalar(const std::uint16_t* gbins, std::size_t p,
-                            const std::uint32_t* rows, std::size_t lo,
-                            std::size_t hi, const std::int32_t* grad,
-                            std::int64_t* h0, std::int64_t* h1) noexcept;
-
-/// AVX2 form: per row, 4 bucket gathers + lane adds at a time, two rows in
-/// flight. Bit-identical to hist_accumulate_scalar.
-void hist_accumulate_avx2(const std::uint16_t* gbins, std::size_t p,
-                          const std::uint32_t* rows, std::size_t lo,
-                          std::size_t hi, const std::int32_t* grad,
-                          std::int64_t* h0, std::int64_t* h1) noexcept;
+/// Accumulate rows[lo, hi) of the row-major uint8 bin plane into two packed
+/// histogram arenas h0/h1 (each `total_bins` buckets; the caller adds h1 to
+/// h0): h[offset[f] + bins[r*p + f]] += (grad[r] << kCountBits) | 1 for
+/// every feature f. Alternating rows between the arenas hides the
+/// store-to-load forward that serializes consecutive same-bucket updates.
+void hist_accumulate(const std::uint8_t* bins, const int* offset,
+                     std::size_t p, const std::uint32_t* rows, std::size_t lo,
+                     std::size_t hi, const std::int32_t* grad,
+                     std::int64_t* h0, std::int64_t* h1) noexcept;
 
 /// One row's forest walk over the implicit-heap SoA layout: returns base
 /// plus lr * leaf_value summed tree-at-a-time. `bins` is the row-major uint8
@@ -71,7 +59,7 @@ void hist_accumulate_avx2(const std::uint16_t* gbins, std::size_t p,
 /// independent walk chains hide the latency of the dependent split->bins
 /// gather pair. Rows left over under the block width fall back to
 /// predict_forest_row_scalar. Requires the bins plane padded by
-/// kBinGatherPad and rows*p + p <= INT32_MAX (callers guard).
+/// BinnedMatrix::kSimdPad and rows*p + p <= INT32_MAX (callers guard).
 void predict_forest_avx2(const PackedForest& forest, const std::uint8_t* bins,
                          std::size_t p, std::size_t lo, std::size_t hi,
                          double learning_rate, double* out) noexcept;

@@ -1,9 +1,9 @@
-// AVX2 forms of the GBDT hot kernels — the only translation unit compiled
-// with -mavx2 (CMake sets the flag per-file when the compiler supports it;
-// HELIOS_HAVE_AVX2 tells common::simd_compiled() the real bodies are here).
-// Everything else in the library stays baseline-ISA, and these entry points
-// are reached only behind common::simd_enabled(), so the binary runs on
-// CPUs without AVX2.
+// AVX2 form of the GBDT batched forest walk — the only translation unit
+// compiled with -mavx2 (CMake sets the flag per-file when the compiler
+// supports it; HELIOS_HAVE_AVX2 tells common::simd_compiled() the real body
+// is here). Everything else in the library stays baseline-ISA, and this
+// entry point is reached only behind common::simd_enabled(), so the binary
+// runs on CPUs without AVX2.
 //
 // Intentionally compiled WITHOUT -mfma: predict_forest_avx2 must perform the
 // same separate multiply-then-add the scalar walk does; a fused contraction
@@ -22,72 +22,6 @@ namespace helios::ml::kernels {
 
 #if defined(__AVX2__)
 
-void hist_accumulate_avx2(const std::uint16_t* gbins, std::size_t p,
-                          const std::uint32_t* rows, std::size_t lo,
-                          std::size_t hi, const std::int32_t* grad,
-                          std::int64_t* h0, std::int64_t* h1) noexcept {
-  constexpr int kCountBits = 24;
-  const auto* b0 = reinterpret_cast<const long long*>(h0);
-  const auto* b1 = reinterpret_cast<const long long*>(h1);
-  std::size_t k = lo;
-  // Two rows in flight (one per arena) so the two gathers' latencies
-  // overlap; within a row the four gathered buckets are distinct (per-feature
-  // histogram slices), so gather -> add -> 4 stores is a legal RMW.
-  for (; k + 1 < hi; k += 2) {
-    const std::size_t r0 = rows[k];
-    const std::size_t r1 = rows[k + 1];
-    const std::uint16_t* rb0 = gbins + r0 * p;
-    const std::uint16_t* rb1 = gbins + r1 * p;
-    const std::int64_t g0 =
-        (static_cast<std::int64_t>(grad[r0]) << kCountBits) | 1;
-    const std::int64_t g1 =
-        (static_cast<std::int64_t>(grad[r1]) << kCountBits) | 1;
-    const __m256i gv0 = _mm256_set1_epi64x(g0);
-    const __m256i gv1 = _mm256_set1_epi64x(g1);
-    std::size_t f = 0;
-    for (; f + 4 <= p; f += 4) {
-      // 4 uint16 global bin ids -> 4 int32 gather indices per row.
-      const __m128i i0 = _mm_cvtepu16_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rb0 + f)));
-      const __m128i i1 = _mm_cvtepu16_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rb1 + f)));
-      const __m256i v0 =
-          _mm256_add_epi64(_mm256_i32gather_epi64(b0, i0, 8), gv0);
-      const __m256i v1 =
-          _mm256_add_epi64(_mm256_i32gather_epi64(b1, i1, 8), gv1);
-      // AVX2 has no scatter; the write-back is four 64-bit stores per arena
-      // at the scalar-reloaded indices. movq/movhps forms keep each store a
-      // single store-port uop instead of an ALU extract + store pair.
-      const __m128i v0lo = _mm256_castsi256_si128(v0);
-      const __m128i v0hi = _mm256_extracti128_si256(v0, 1);
-      const __m128i v1lo = _mm256_castsi256_si128(v1);
-      const __m128i v1hi = _mm256_extracti128_si256(v1, 1);
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(h0 + rb0[f + 0]), v0lo);
-      _mm_storeh_pd(reinterpret_cast<double*>(h0 + rb0[f + 1]),
-                    _mm_castsi128_pd(v0lo));
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(h0 + rb0[f + 2]), v0hi);
-      _mm_storeh_pd(reinterpret_cast<double*>(h0 + rb0[f + 3]),
-                    _mm_castsi128_pd(v0hi));
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(h1 + rb1[f + 0]), v1lo);
-      _mm_storeh_pd(reinterpret_cast<double*>(h1 + rb1[f + 1]),
-                    _mm_castsi128_pd(v1lo));
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(h1 + rb1[f + 2]), v1hi);
-      _mm_storeh_pd(reinterpret_cast<double*>(h1 + rb1[f + 3]),
-                    _mm_castsi128_pd(v1hi));
-    }
-    for (; f < p; ++f) {
-      h0[rb0[f]] += g0;
-      h1[rb1[f]] += g1;
-    }
-  }
-  for (; k < hi; ++k) {
-    const std::uint16_t* rb = gbins + rows[k] * p;
-    const std::int64_t gp =
-        (static_cast<std::int64_t>(grad[rows[k]]) << kCountBits) | 1;
-    for (std::size_t f = 0; f < p; ++f) h0[rb[f]] += gp;
-  }
-}
-
 namespace {
 
 /// One heap-walk step for an 8-row lane group: gather the packed splits at
@@ -100,7 +34,8 @@ inline __m256i walk_step(const int* sp, const std::uint8_t* bins,
   const __m256i pk = _mm256_i32gather_epi32(sp, idx, 4);
   const __m256i addr = _mm256_add_epi32(rowbase, _mm256_srli_epi32(pk, 8));
   // uint8 load via 4-byte gather + mask; the plane is padded by
-  // kBinGatherPad so the overread past the last cell stays in bounds.
+  // BinnedMatrix::kSimdPad so the overread past the last cell stays in
+  // bounds.
   const __m256i bv = _mm256_and_si256(
       _mm256_i32gather_epi32(reinterpret_cast<const int*>(bins), addr, 1),
       xff);
@@ -206,16 +141,9 @@ void predict_forest_avx2(const PackedForest& forest, const std::uint8_t* bins,
 
 #else  // !defined(__AVX2__)
 
-// The compiler cannot target AVX2: simd_compiled() is false, so these are
+// The compiler cannot target AVX2: simd_compiled() is false, so this is
 // unreachable. Aborting (rather than silently falling back) turns a broken
 // dispatch gate into a loud failure.
-void hist_accumulate_avx2(const std::uint16_t*, std::size_t,
-                          const std::uint32_t*, std::size_t, std::size_t,
-                          const std::int32_t*, std::int64_t*,
-                          std::int64_t*) noexcept {
-  std::abort();
-}
-
 void predict_forest_avx2(const PackedForest&, const std::uint8_t*, std::size_t,
                          std::size_t, std::size_t, double, double*) noexcept {
   std::abort();

@@ -1,24 +1,23 @@
 // Golden parity suite for the prediction layer (smoke):
 //
-//  * GBDTEngine::kHistogram (sibling-subtraction, row-parallel, packed
-//    buckets) must reproduce GBDTEngine::kReference bit-for-bit — same
-//    trees (features, split bins, thresholds, leaf values, gains) and the
-//    same per-iteration training RMSE — across seeds and configs on
-//    trace::synthetic-derived data. Exactness is by construction (int64
-//    quantized gradients), and this suite is the regression net for the
-//    row-set / subtraction / leaf-tracking machinery on top.
+//  * GBDTEngine::kHistogram (sibling-subtraction, row-parallel histograms
+//    accumulated in packed runs) must reproduce GBDTEngine::kReference
+//    bit-for-bit — same trees (features, split bins, thresholds, leaf
+//    values, gains) and the same per-iteration training RMSE — across seeds
+//    and configs on trace::synthetic-derived data, including a training set
+//    large enough that node histograms span several packed kernel runs.
+//    Exactness is by construction (int64 quantized gradients), and this
+//    suite is the regression net for the row-set / run / subtraction /
+//    leaf-tracking machinery on top.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
 //  * OnlinePriorityEvaluator's batched mode (one predict_many pass for the
 //    GBDT half) must reproduce the per-job serial reference — priorities,
 //    prediction-quality vectors, and the service's final rolling state.
-//  * The AVX2 kernels (histogram accumulation, batched forest walk) must be
-//    bit-identical to the scalar forms: fits, predict_many, and evaluator
-//    output are compared with the dispatch forced on vs off. Skipped (not
-//    silently passed) where the hardware or build lacks AVX2.
-//  * Nodes at or above the packed 24-bit row cap shard into wide histograms
-//    instead of falling back to GBDTEngine::kReference; an injected tiny cap
-//    drives that path at test scale and must not change a single bit.
+//  * The AVX2 forest walk must be bit-identical to the scalar walk:
+//    predict_many and evaluator output are compared with the dispatch forced
+//    on vs off. Skipped (not silently passed) where the hardware or build
+//    lacks AVX2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,17 +48,6 @@ class ScopedSimd {
  private:
   bool prev_;
   bool active_;
-};
-
-/// Restores the injectable packed-row cap on scope exit.
-class ScopedPackedRowLimit {
- public:
-  explicit ScopedPackedRowLimit(std::size_t limit) {
-    helios::ml::gbdt_set_packed_row_limit(limit);
-  }
-  ~ScopedPackedRowLimit() { helios::ml::gbdt_set_packed_row_limit(0); }
-  ScopedPackedRowLimit(const ScopedPackedRowLimit&) = delete;
-  ScopedPackedRowLimit& operator=(const ScopedPackedRowLimit&) = delete;
 };
 
 }  // namespace
@@ -156,39 +144,6 @@ TEST(GbdtEngineParity, PredictManyMatchesPerRowBitwise) {
   }
 }
 
-// The AVX2 histogram kernel reorders only integer adds, so a fit with the
-// dispatch on must reproduce the scalar fit bit-for-bit — trees, thresholds,
-// leaf values, gains, and per-iteration RMSE — across configs.
-TEST(SimdParity, FitBitIdenticalToScalar) {
-  {
-    ScopedSimd probe(true);
-    if (!probe.active()) GTEST_SKIP() << "AVX2 unavailable: " << common::simd_mode();
-  }
-  auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 23,
-                                            0.02);
-  const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
-  GBDTConfig configs[2];
-  configs[0].n_trees = 10;
-  configs[1].n_trees = 8;
-  configs[1].max_depth = 4;
-  configs[1].max_bins = 33;
-  configs[1].subsample = 1.0;
-  for (const GBDTConfig& cfg : configs) {
-    GBDTRegressor simd_model(cfg);
-    GBDTRegressor scalar_model(cfg);
-    {
-      ScopedSimd simd(true);
-      simd_model.fit(data);
-    }
-    {
-      ScopedSimd scalar(false);
-      scalar_model.fit(data);
-    }
-    ASSERT_TRUE(simd_model.trained());
-    expect_models_identical(simd_model, scalar_model);
-  }
-}
-
 // The AVX2 forest walk performs the same separate multiply-then-add per
 // (row, tree) as the scalar loop, so batched predictions must match the
 // scalar batch AND the per-row reference bitwise — including the tail rows
@@ -222,40 +177,26 @@ TEST(SimdParity, PredictManyBitIdenticalToScalar) {
   }
 }
 
-// Lifted row cap: with the packed 24-bit limit injected down to toy scale,
-// nodes shard into wide histograms (observable via the build counter) and
-// the fit stays bit-identical to both the default-cap fit and the
-// from-scratch reference engine — no fallback, no drift. Runs on both sides
-// of the SIMD dispatch.
-TEST(SimdParity, WideShardedHistogramsMatchPackedAndReference) {
+// Node histograms are accumulated in packed runs of at most 16384 rows and
+// unpacked between runs. At scale 0.02 no node crosses a run boundary; here
+// the root holds every row (subsample 1.0), so it spans three runs at pool
+// width 1 and several chunks of two runs each on wider pools.
+TEST(GbdtEngineParity, HistogramRunsMatchReference) {
   auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 37,
-                                            0.02);
+                                            0.25);
   const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
-  ASSERT_GT(data.rows(), 1024u);
+  ASSERT_GT(data.rows(), 2u * 16384u);
   GBDTConfig cfg;
-  cfg.n_trees = 8;
+  cfg.n_trees = 6;
+  cfg.subsample = 1.0;
   GBDTConfig ref_cfg = cfg;
   ref_cfg.engine = GBDTEngine::kReference;
-
-  GBDTRegressor default_cap_model(cfg);
-  default_cap_model.fit(data);
+  GBDTRegressor hist_model(cfg);
   GBDTRegressor ref_model(ref_cfg);
+  hist_model.fit(data);
   ref_model.fit(data);
-
-  for (const bool simd_on : {true, false}) {
-    ScopedSimd simd(simd_on);
-    if (simd_on && !simd.active()) continue;  // covered by the scalar pass
-    ScopedPackedRowLimit cap(512);
-    const std::uint64_t wide_before = gbdt_wide_histogram_builds();
-    GBDTRegressor sharded_model(cfg);
-    sharded_model.fit(data);
-    // The root (and every early node) exceeds the injected cap, so the wide
-    // path must actually have run.
-    EXPECT_GT(gbdt_wide_histogram_builds(), wide_before)
-        << "simd=" << simd_on;
-    expect_models_identical(sharded_model, default_cap_model);
-    expect_models_identical(sharded_model, ref_model);
-  }
+  ASSERT_TRUE(hist_model.trained());
+  expect_models_identical(hist_model, ref_model);
 }
 
 }  // namespace

@@ -474,28 +474,47 @@ TEST(SerializeMalformed, HostileLengthRejectedBeforeAllocation) {
   }
 }
 
-TEST(SerializeMalformed, TreeWithCycleRejected) {
-  // An interior node pointing at itself (left = right = 0) would loop
-  // forever in predict(); load must reject it as corrupt.
-  serialize::Writer w;
-  w.begin_section(serialize::fourcc("TREE"));
-  w.u32(1);   // section version
-  w.u64(1);
-  w.i32(0);   // feature 0 -> interior
-  w.i32(0);   // split_bin
-  w.f64(0.5);
-  w.i32(0);   // left: backward edge
-  w.i32(0);   // right: backward edge
-  w.f64(0.0);
-  w.f64(0.0);
-  w.end_section();
-  serialize::Reader r(w.buffer());
-  ml::RegressionTree tree;
-  try {
-    tree.load(r, /*n_features=*/4);
-    FAIL() << "expected kCorrupt";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCorrupt);
+TEST(SerializeMalformed, TreeWithBadChildLinksRejected) {
+  // Interior nodes split feature 0 at bin 10; leaves (left < 0) hold 42 at
+  // node 8 and 0 elsewhere. Both shapes must be rejected as corrupt:
+  //  * one interior node pointing at itself would loop forever in predict();
+  //  * 0->(1,4) 1->(2,3) 2->(5,6) 4->(5,7) 5->(8,9) has every child index
+  //    above its parent's, but node 5 hangs under both 2 (depth 3) and 4
+  //    (depth 2). predict() reaches leaf 8 along 0-1-2-5-8, while
+  //    PackedForest, taking node 5's depth from its last parent, padded the
+  //    tree one level short and its walk returned 0.
+  struct Link {
+    std::int32_t left, right;
+  };
+  const std::vector<std::vector<Link>> trees = {
+      {{0, 0}},
+      {{1, 4}, {2, 3}, {5, 6}, {-1, -1}, {5, 7},
+       {8, 9}, {-1, -1}, {-1, -1}, {-1, -1}, {-1, -1}},
+  };
+  for (const auto& links : trees) {
+    serialize::Writer w;
+    w.begin_section(serialize::fourcc("TREE"));
+    w.u32(1);  // section version
+    w.u64(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const bool interior = links[i].left >= 0;
+      w.i32(interior ? 0 : -1);   // feature 0, or a leaf
+      w.i32(interior ? 10 : -1);  // split_bin
+      w.f64(interior ? 10.5 : 0.0);
+      w.i32(links[i].left);
+      w.i32(links[i].right);
+      w.f64(i == 8 ? 42.0 : 0.0);
+      w.f64(0.0);
+    }
+    w.end_section();
+    serialize::Reader r(w.buffer());
+    ml::RegressionTree tree;
+    try {
+      tree.load(r, /*n_features=*/1);
+      FAIL() << "expected kCorrupt for a " << links.size() << "-node tree";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
   }
 }
 
