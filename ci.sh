@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify in one command: configure, build, run every gtest suite.
 #
-#   ./ci.sh            full build + docs check + full test sweep
+#   ./ci.sh            full build + docs check + full test sweep (every mode
+#                      that builds the Release tree compiles with -Werror)
 #   ./ci.sh smoke      full build + fast suites only (ctest -L smoke)
 #   ./ci.sh bench      full build + microbenchmark smoke run (short
 #                      --benchmark_min_time so perf regressions fail loudly
@@ -142,8 +143,9 @@ if [ "$mode" = asan ]; then
 fi
 
 # Release is the CMake default here, but pin it so benches are always built
-# -O2 -DNDEBUG even if a stale cache says otherwise.
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+# -O2 -DNDEBUG even if a stale cache says otherwise. -Werror: a full build
+# prints no warnings, so any new one fails CI instead of scrolling past.
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$(nproc)"
 
 if [ "$mode" = bench ]; then

@@ -68,7 +68,7 @@ void DrsController::wake(sim::VcSimulator& shard, const sim::JobOutcome& job,
 void DrsController::on_arrival(sim::VcSimulator& shard,
                                const sim::JobOutcome& job, std::int64_t now) {
   // JobArrivalCheck: wake when the powered nodes cannot offer the request.
-  const int free = shard.state().free_gpus(0);
+  const int free = shard.state().free_gpus();
   if (free < job.gpus) wake(shard, job, job.gpus - free, now);
 }
 
@@ -80,13 +80,13 @@ void DrsController::on_blocked_head(sim::VcSimulator& shard,
   // placement may still fail (a 16-GPU job needs whole free nodes). If the
   // VC has sleeping capacity and nothing already booting for it, wake enough
   // nodes for the head job.
-  if (state.booting_nodes_in_vc(0) == 0 && state.sleeping_nodes_in_vc(0) > 0) {
-    wake(shard, job, std::max(gpus_per_node_, job.gpus - state.free_gpus(0)),
+  if (state.booting_nodes() == 0 && state.sleeping_nodes() > 0) {
+    wake(shard, job, std::max(gpus_per_node_, job.gpus - state.free_gpus()),
          now);
   }
   // The head job is held back while a reboot it needs is in flight: this is
   // the paper's "affected by the 5-minute boot" population.
-  if (state.booting_nodes_in_vc(0) > 0) affected_[job.trace_index] = 1;
+  if (state.booting_nodes() > 0) affected_[job.trace_index] = 1;
 }
 
 void DrsController::on_tick(
@@ -142,7 +142,7 @@ void DrsController::on_tick(
         std::max(1, (config_.sigma * state.node_count() + total_nodes_ - 1) /
                         std::max(1, total_nodes_));
     const int can =
-        std::min(surplus, state.idle_active_nodes_in_vc(0) - vc_buffer);
+        std::min(surplus, state.idle_active_nodes() - vc_buffer);
     if (can > 0) surplus -= shard->sleep_idle_nodes(can, now);
   }
 }

@@ -294,6 +294,11 @@ class ReplayQueue {
   }
   /// Adopt entries() output verbatim (the storage is already heap-ordered).
   void restore(std::vector<Entry> entries) { heap_ = std::move(entries); }
+  /// Whether `entries` is heap-ordered under (finish, index), as entries()
+  /// always is; a checkpoint loader checks this before restore().
+  [[nodiscard]] static bool is_heap(const std::vector<Entry>& entries) {
+    return std::is_heap(entries.begin(), entries.end(), after);
+  }
 
  private:
   static bool after(const Entry& a, const Entry& b) noexcept {

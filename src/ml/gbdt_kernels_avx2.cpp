@@ -24,6 +24,21 @@ namespace helios::ml::kernels {
 
 namespace {
 
+// Plain gathers spelled as masked ones with a zero source and an all-ones
+// mask: the same instruction and lanes, but GCC's unmasked intrinsics pass an
+// uninitialized source register and trip -Wmaybe-uninitialized.
+template <int kScale>
+inline __m256i gather_epi32(const int* base, __m256i idx) noexcept {
+  return _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), base, idx,
+                                     _mm256_set1_epi32(-1), kScale);
+}
+
+inline __m256d gather_pd(const double* base, __m128i idx) noexcept {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx,
+                                  _mm256_castsi256_pd(_mm256_set1_epi32(-1)),
+                                  8);
+}
+
 /// One heap-walk step for an 8-row lane group: gather the packed splits at
 /// `idx` (relative to `sp`), gather the 8 rows' bins for the split features,
 /// and advance idx = 2*idx + 1 + go_right. go_right lanes compare to -1, so
@@ -31,14 +46,13 @@ namespace {
 inline __m256i walk_step(const int* sp, const std::uint8_t* bins,
                          __m256i rowbase, __m256i idx, __m256i xff,
                          __m256i one) noexcept {
-  const __m256i pk = _mm256_i32gather_epi32(sp, idx, 4);
+  const __m256i pk = gather_epi32<4>(sp, idx);
   const __m256i addr = _mm256_add_epi32(rowbase, _mm256_srli_epi32(pk, 8));
   // uint8 load via 4-byte gather + mask; the plane is padded by
   // BinnedMatrix::kSimdPad so the overread past the last cell stays in
   // bounds.
   const __m256i bv = _mm256_and_si256(
-      _mm256_i32gather_epi32(reinterpret_cast<const int*>(bins), addr, 1),
-      xff);
+      gather_epi32<1>(reinterpret_cast<const int*>(bins), addr), xff);
   const __m256i right = _mm256_cmpgt_epi32(bv, _mm256_and_si256(pk, xff));
   return _mm256_sub_epi32(
       _mm256_add_epi32(_mm256_slli_epi32(idx, 1), one), right);
@@ -50,12 +64,11 @@ inline __m256i walk_step(const int* sp, const std::uint8_t* bins,
 inline void accumulate_leaves(const double* value, __m256i vidx, __m256d lr,
                               __m256d& acc_lo, __m256d& acc_hi) noexcept {
   acc_lo = _mm256_add_pd(
-      acc_lo, _mm256_mul_pd(lr, _mm256_i32gather_pd(
-                                    value, _mm256_castsi256_si128(vidx), 8)));
+      acc_lo,
+      _mm256_mul_pd(lr, gather_pd(value, _mm256_castsi256_si128(vidx))));
   acc_hi = _mm256_add_pd(
-      acc_hi, _mm256_mul_pd(lr, _mm256_i32gather_pd(
-                                    value, _mm256_extracti128_si256(vidx, 1),
-                                    8)));
+      acc_hi,
+      _mm256_mul_pd(lr, gather_pd(value, _mm256_extracti128_si256(vidx, 1))));
 }
 
 }  // namespace

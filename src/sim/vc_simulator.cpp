@@ -317,17 +317,6 @@ class DemandTracker {
   std::size_t size_ = 0;
 };
 
-trace::ClusterSpec single_vc_spec(const trace::ClusterSpec& spec, int vc) {
-  const auto& vcspec = spec.vcs[static_cast<std::size_t>(vc)];
-  trace::ClusterSpec sub;
-  sub.name = spec.name;
-  sub.nodes = vcspec.nodes;
-  sub.gpus_per_node = vcspec.gpus_per_node;
-  sub.cpus_per_node = spec.cpus_per_node;
-  sub.vcs = {vcspec};
-  return sub;
-}
-
 /// The one VcSimulator: the shard's state and its resumable event loop.
 class Shard final : public VcSimulator {
  public:
@@ -335,7 +324,7 @@ class Shard final : public VcSimulator {
         UnixTime window_begin, const Trace& t,
         const std::vector<std::size_t>& arrivals,
         std::vector<JobOutcome>& outcomes)
-      : state_(single_vc_spec(spec, vc)),
+      : state_(spec.vcs[static_cast<std::size_t>(vc)]),
         config_(&config),
         trace_(&t),
         arrivals_(&arrivals),
@@ -356,18 +345,16 @@ class Shard final : public VcSimulator {
       for (const auto& v : spec.vcs) {
         total_gpus += static_cast<std::int64_t>(v.nodes) * v.gpus_per_node;
       }
-      const auto& vcspec = spec.vcs[static_cast<std::size_t>(vc)];
-      const auto vc_gpus =
-          static_cast<std::int64_t>(vcspec.nodes) * vcspec.gpus_per_node;
       if (total_gpus > 0) {
-        cap_share_ = config.power_cap_watts * static_cast<double>(vc_gpus) /
+        cap_share_ = config.power_cap_watts *
+                     static_cast<double>(state_.capacity_gpus()) /
                      static_cast<double>(total_gpus);
       }
     }
     if (config.fault_plan == nullptr) return;
     const auto events = config.fault_plan->vc_events(vc);
     if (events.empty()) return;
-    const int n_nodes = spec.vcs[static_cast<std::size_t>(vc)].nodes;
+    const int n_nodes = state_.node_count();
     // internal_of[p]: shard node id of physical node p. Nodes within a VC
     // are homogeneous, so SimConfig::node_order only re-labels ids — rank k
     // maps to internal id k, which the consolidating allocator fills first.
@@ -455,7 +442,7 @@ class Shard final : public VcSimulator {
           // place it on the leftover GPUs.
           const bool outranks = !fifo_ && queue_.before(lj, blocked_local_);
           const bool backfillable =
-              config_->backfill && jobs_[lj].gpus <= state_.free_gpus(0);
+              config_->backfill && jobs_[lj].gpus <= state_.free_gpus();
           if (outranks || backfillable) need_schedule = true;
         } else {
           need_schedule = true;
@@ -485,12 +472,12 @@ class Shard final : public VcSimulator {
     return next_event_;
   }
   int wake_nodes(int count, std::int64_t now, std::int64_t boot_delay) override {
-    const int woken = state_.wake_nodes_in_vc(0, count, now, boot_delay);
+    const int woken = state_.wake_nodes(count, now, boot_delay);
     if (woken > 0) next_event_ = std::min(next_event_, now + boot_delay);
     return power_transition(woken, now);
   }
   int sleep_idle_nodes(int count, std::int64_t now) override {
-    return power_transition(state_.sleep_idle_nodes_in_vc(0, count), now);
+    return power_transition(state_.sleep_idle_nodes(count), now);
   }
 
  private:
@@ -563,7 +550,7 @@ class Shard final : public VcSimulator {
       job.priority = base_priority(j);
     }
     queue_.init(n_);
-    queued_gpus_.init(state_.capacity_gpus(0));
+    queued_gpus_.init(state_.capacity_gpus());
     segments_.reserve(2 * n_ + 2);
   }
 
@@ -723,7 +710,7 @@ class Shard final : public VcSimulator {
     while (!queue_.empty()) {
       const std::size_t lj = queue_.head();
       const LocalJob& job = jobs_[lj];
-      if (!state_.can_ever_fit(0, job.gpus)) {
+      if (!state_.can_ever_fit(job.gpus)) {
         JobOutcome& o = outcome(lj);
         o.rejected = true;
         o.start = o.submit;
@@ -739,7 +726,7 @@ class Shard final : public VcSimulator {
       // checked up front so a power-blocked head leaves the run set alone).
       const bool power_ok = power_allows(job.watts);
       auto alloc =
-          power_ok ? state_.try_allocate(0, job.gpus) : std::optional<Allocation>{};
+          power_ok ? state_.try_allocate(job.gpus) : std::optional<Allocation>{};
       if (!alloc && srtf_ && power_ok) {
         // Preempt running jobs with strictly larger remaining time, largest
         // first, until the head fits; roll back if it never does.
@@ -760,7 +747,7 @@ class Shard final : public VcSimulator {
         for (std::size_t s : candidates) {
           state_.release(runs_[s].alloc);
           freed.push_back(s);
-          alloc = state_.try_allocate(0, job.gpus);
+          alloc = state_.try_allocate(job.gpus);
           if (alloc) break;
         }
         if (alloc) {
@@ -784,7 +771,7 @@ class Shard final : public VcSimulator {
           config_->power_controller->on_blocked_head(*this, outcome(lj), now);
         }
         if (config_->backfill && !queued_gpus_.empty() &&
-            queued_gpus_.min() <= state_.free_gpus(0)) {
+            queued_gpus_.min() <= state_.free_gpus()) {
           // Greedy backfill: start any later queued job that fits right now.
           int scanned = 0;
           queue_.scan_behind_head([&](std::size_t blj) {
@@ -794,13 +781,13 @@ class Shard final : public VcSimulator {
             // projected draw stays under the cap; over-budget candidates are
             // skipped, not blocking the ones behind them.
             if (!power_allows(jobs_[blj].watts)) return true;
-            auto balloc = state_.try_allocate(0, jobs_[blj].gpus);
+            auto balloc = state_.try_allocate(jobs_[blj].gpus);
             if (balloc) {
               start_job(blj, std::move(*balloc), now);
               dequeue(blj);
               // Placements shrink the free pool; bail once nothing left fits.
               if (queued_gpus_.empty() ||
-                  queued_gpus_.min() > state_.free_gpus(0)) {
+                  queued_gpus_.min() > state_.free_gpus()) {
                 return false;
               }
             }

@@ -8,8 +8,8 @@
 // series deterministically (in VC order; the series terms are exact integer
 // products, so the merged series is bit-identical to a serial accumulation).
 //
-// Each shard owns a single-VC ClusterState over the VC's nodes, the policy
-// queue, and run slots:
+// Each shard owns the ClusterState of its VC's nodes, the policy queue, and
+// run slots:
 //  * run slots recycle through a free list, so they number the jobs running
 //    at once; kill victims and SRTF ties are ordered by each job's
 //    first-start sequence number, not by slot;
@@ -91,10 +91,10 @@ class VcSimulator {
   [[nodiscard]] virtual std::int64_t next_event() const noexcept = 0;
 
   /// -- node power control, for PowerController hooks ----------------------
-  /// The shard's single-VC state: its VC is index 0.
+  /// The node pool of this shard's VC.
   [[nodiscard]] virtual const ClusterState& state() const noexcept = 0;
-  /// ClusterState::wake_nodes_in_vc / sleep_idle_nodes_in_vc on this VC; a
-  /// transition clears the blocked-head memo and splits the busy segment.
+  /// ClusterState::wake_nodes / sleep_idle_nodes on this VC; a transition
+  /// clears the blocked-head memo and splits the busy segment.
   virtual int wake_nodes(int count, std::int64_t now,
                          std::int64_t boot_delay) = 0;
   virtual int sleep_idle_nodes(int count, std::int64_t now) = 0;

@@ -44,17 +44,6 @@ std::vector<double> log_space_points(double lo, double hi, int n) {
   return pts;
 }
 
-std::vector<double> lin_space_points(double lo, double hi, int n) {
-  std::vector<double> pts;
-  if (n <= 0) return pts;
-  pts.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double f = n == 1 ? 0.0 : static_cast<double>(i) / (n - 1);
-    pts.push_back(lo + f * (hi - lo));
-  }
-  return pts;
-}
-
 double ks_statistic(const Ecdf& a, const Ecdf& b) {
   double sup = 0.0;
   for (double x : a.sorted_sample()) sup = std::max(sup, std::abs(a(x) - b(x)));

@@ -38,9 +38,6 @@ class Ecdf {
 /// `n` log-spaced points from lo to hi inclusive (lo, hi > 0).
 [[nodiscard]] std::vector<double> log_space_points(double lo, double hi, int n);
 
-/// `n` linearly spaced points from lo to hi inclusive.
-[[nodiscard]] std::vector<double> lin_space_points(double lo, double hi, int n);
-
 /// Two-sample Kolmogorov-Smirnov statistic sup_x |F1(x) - F2(x)|.
 /// Used by property tests to compare generated distributions against targets.
 [[nodiscard]] double ks_statistic(const Ecdf& a, const Ecdf& b);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "serialize/binary.h"
 #include "trace/parallel_loader.h"
 
@@ -16,17 +15,12 @@ namespace {
 constexpr std::uint32_t kSvcTag = serialize::fourcc("SVCK");
 constexpr std::uint32_t kSvcVersion = 1;
 
-/// Calls fn(line) for every line of `data`, excluding the '\n' terminator
-/// (a final line without one is still delivered).
-template <typename Fn>
-void for_each_line(std::string_view data, Fn&& fn) {
-  std::size_t lo = 0;
-  while (lo < data.size()) {
-    const auto nl = data.find('\n', lo);
-    const auto hi = nl == std::string_view::npos ? data.size() : nl;
-    fn(data.substr(lo, hi - lo));
-    lo = nl == std::string_view::npos ? data.size() : nl + 1;
-  }
+/// The loader behind every row append: shard-parses batches of at least
+/// `parallel_parse_bytes` on the global pool.
+trace::ParallelLoader row_loader(const ServerConfig& config) {
+  trace::LoadOptions opts;
+  opts.min_chunk_bytes = config.parallel_parse_bytes;
+  return trace::ParallelLoader(opts);
 }
 
 }  // namespace
@@ -95,36 +89,10 @@ void PredictionServer::publish() {
                    std::memory_order_release);
 }
 
-void PredictionServer::append_rows(std::string_view csv_rows) {
-  const std::size_t threads = global_pool().thread_count();
-  const auto chunks =
-      csv_rows.size() >= config_.parallel_parse_bytes && threads > 1
-          ? trace::ParallelLoader::split_chunks(csv_rows, threads,
-                                                config_.parallel_parse_bytes)
-          : std::vector<std::pair<std::size_t, std::size_t>>{};
-  if (chunks.size() <= 1) {
-    for_each_line(csv_rows, [this](std::string_view line) {
-      stream_.append_csv_row(line);
-    });
-    return;
-  }
-  // Shard-parse on the pool, merge in input order — id assignment identical
-  // to the serial loop above (trace::ParallelLoader's invariant).
-  std::vector<trace::Trace> shards(chunks.size());
-  parallel_run_chunks(chunks, [&shards, csv_rows](std::size_t c, std::size_t lo,
-                                                  std::size_t hi) {
-    trace::Trace& shard = shards[c];
-    for_each_line(csv_rows.substr(lo, hi - lo), [&shard](std::string_view line) {
-      shard.append_csv_row(line);
-    });
-  });
-  for (const auto& shard : shards) stream_.append(shard);
-}
-
 std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {
   if (csv_rows.empty()) return 0;
   const std::size_t first = stream_.size();
-  append_rows(csv_rows);
+  row_loader(config_).append_rows(csv_rows, stream_);
   bytes_ingested_ += csv_rows.size();
   const std::size_t appended = stream_.size() - first;
   rows_ingested_ += appended;
@@ -234,9 +202,7 @@ void PredictionServer::load(serialize::Reader& r) {
   const std::string rows_csv = s.str();
   trace::Trace stream = stream_;  // context copy; mutate only on full success
   try {
-    for_each_line(rows_csv, [&stream](std::string_view line) {
-      stream.append_csv_row(line);
-    });
+    row_loader(config_).append_rows(rows_csv, stream);
   } catch (const std::runtime_error& e) {
     throw serialize::Error(serialize::ErrorCode::kCorrupt,
                            std::string("svc streamed rows: ") + e.what());
@@ -255,6 +221,17 @@ void PredictionServer::load(serialize::Reader& r) {
       throw serialize::Error(serialize::ErrorCode::kCorrupt,
                              "svc queue entry outside the streamed rows");
     }
+    const trace::JobRecord& job = stream.jobs()[e.index];
+    if (e.finish != job.submit_time + job.duration) {
+      throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                             "svc queue entry finish differs from its row");
+    }
+  }
+  // The queue restores verbatim, so its drain order is only right if the
+  // entries are still a heap.
+  if (!core::ReplayQueue::is_heap(entries)) {
+    throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                           "svc queue entries out of heap order");
   }
 
   const std::size_t n_log = s.length(16);  // u64 + f64 per entry

@@ -46,6 +46,12 @@ class ParallelLoader {
   [[nodiscard]] Trace load_file(const std::string& path,
                                 ClusterSpec cluster) const;
 
+  /// Parse header-less CSV records and append them to `out` in input order:
+  /// inline when `rows` makes one chunk, else shard-parsed on the pool and
+  /// merged in order. Either way the records and interned ids equal appending
+  /// each row serially. Does not sort.
+  void append_rows(std::string_view rows, Trace& out) const;
+
   /// Split `data` into up to `target_chunks` line-aligned [begin, end) byte
   /// ranges of at least `min_chunk_bytes` each: every range starts at a line
   /// start and ends just past a '\n' (or at data.size() for a final line

@@ -5,82 +5,76 @@
 namespace helios::sim {
 namespace {
 
-trace::ClusterSpec tiny_spec() {
-  trace::ClusterSpec s;
-  s.name = "tiny";
-  s.gpus_per_node = 8;
-  s.vcs = {{"vcA", 2, 8}, {"vcB", 3, 8}};
-  s.nodes = 5;
-  return s;
-}
+trace::VCSpec vc_spec(int nodes) { return {"vc", nodes, 8}; }
 
 TEST(ClusterState, CapacityQueries) {
-  ClusterState cs(tiny_spec());
-  EXPECT_EQ(cs.vc_count(), 2);
-  EXPECT_EQ(cs.node_count(), 5);
-  EXPECT_EQ(cs.capacity_gpus(0), 16);
-  EXPECT_EQ(cs.capacity_gpus(1), 24);
-  EXPECT_EQ(cs.free_gpus(0), 16);
-  EXPECT_TRUE(cs.can_ever_fit(0, 16));
-  EXPECT_FALSE(cs.can_ever_fit(0, 17));
-  EXPECT_FALSE(cs.can_ever_fit(-1, 4));
+  ClusterState cs(vc_spec(2));
+  EXPECT_EQ(cs.node_count(), 2);
+  EXPECT_EQ(cs.capacity_gpus(), 16);
+  EXPECT_EQ(cs.schedulable_gpus(), 16);
+  EXPECT_EQ(cs.free_gpus(), 16);
+  EXPECT_TRUE(cs.can_ever_fit(16));
+  EXPECT_FALSE(cs.can_ever_fit(17));
+  EXPECT_FALSE(cs.can_ever_fit(0));
+}
+
+TEST(ClusterState, EmptyVcHostsNothing) {
+  ClusterState cs(vc_spec(0));
+  EXPECT_EQ(cs.capacity_gpus(), 0);
+  EXPECT_FALSE(cs.can_ever_fit(1));
+  EXPECT_FALSE(cs.try_allocate(1).has_value());
+  EXPECT_EQ(cs.idle_active_nodes(), 0);
+  EXPECT_EQ(cs.sleep_idle_nodes(3), 0);
+  EXPECT_EQ(cs.wake_nodes(3, 0, 300), 0);
 }
 
 TEST(ClusterState, SingleNodeBestFit) {
-  ClusterState cs(tiny_spec());
-  // Occupy 6 GPUs on the first vcA node; a 2-GPU job should best-fit there.
-  auto big = cs.try_allocate(0, 6);
+  ClusterState cs(vc_spec(2));
+  // Occupy 6 GPUs on the first node; a 2-GPU job should best-fit there.
+  auto big = cs.try_allocate(6);
   ASSERT_TRUE(big.has_value());
-  auto small = cs.try_allocate(0, 2);
+  auto small = cs.try_allocate(2);
   ASSERT_TRUE(small.has_value());
   ASSERT_EQ(small->node_gpus.size(), 1u);
   EXPECT_EQ(small->node_gpus[0].first, big->node_gpus[0].first);
   // Next job cannot share that node any more.
-  auto three = cs.try_allocate(0, 3);
+  auto three = cs.try_allocate(3);
   ASSERT_TRUE(three.has_value());
   EXPECT_NE(three->node_gpus[0].first, big->node_gpus[0].first);
 }
 
 TEST(ClusterState, GangNeedsWholeNodes) {
-  ClusterState cs(tiny_spec());
-  // 16-GPU job in vcA needs two completely free nodes.
-  auto one = cs.try_allocate(0, 1);
+  ClusterState cs(vc_spec(2));
+  // A 16-GPU job needs two completely free nodes.
+  auto one = cs.try_allocate(1);
   ASSERT_TRUE(one.has_value());
-  EXPECT_FALSE(cs.try_allocate(0, 16).has_value());  // fragmented
+  EXPECT_FALSE(cs.try_allocate(16).has_value());  // fragmented
   cs.release(*one);
-  auto gang = cs.try_allocate(0, 16);
+  auto gang = cs.try_allocate(16);
   ASSERT_TRUE(gang.has_value());
   EXPECT_EQ(gang->node_gpus.size(), 2u);
   EXPECT_EQ(gang->total(), 16);
+  EXPECT_EQ(cs.free_gpus(), 0);
+  EXPECT_FALSE(cs.try_allocate(1).has_value());
 }
 
 TEST(ClusterState, MultiNodeWithRemainder) {
-  ClusterState cs(tiny_spec());
-  // 20 GPUs in vcB = 2 full nodes + 4 on a third.
-  auto a = cs.try_allocate(1, 20);
+  ClusterState cs(vc_spec(3));
+  // 20 GPUs = 2 full nodes + 4 on a third.
+  auto a = cs.try_allocate(20);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->node_gpus.size(), 3u);
   EXPECT_EQ(a->total(), 20);
-  EXPECT_EQ(cs.free_gpus(1), 4);
+  EXPECT_EQ(cs.free_gpus(), 4);
   cs.release(*a);
-  EXPECT_EQ(cs.free_gpus(1), 24);
-}
-
-TEST(ClusterState, AllocationRespectsVcBoundary) {
-  ClusterState cs(tiny_spec());
-  // Fill vcA completely; vcB must still be fully free.
-  ASSERT_TRUE(cs.try_allocate(0, 16).has_value());
-  EXPECT_EQ(cs.free_gpus(0), 0);
-  EXPECT_EQ(cs.free_gpus(1), 24);
-  EXPECT_FALSE(cs.try_allocate(0, 1).has_value());
-  EXPECT_TRUE(cs.try_allocate(1, 1).has_value());
+  EXPECT_EQ(cs.free_gpus(), 24);
 }
 
 TEST(ClusterState, BusyCountersTrackAllocations) {
-  ClusterState cs(tiny_spec());
+  ClusterState cs(vc_spec(3));
   EXPECT_EQ(cs.busy_nodes(), 0);
   EXPECT_EQ(cs.busy_gpus(), 0);
-  auto a = cs.try_allocate(1, 20);
+  auto a = cs.try_allocate(20);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(cs.busy_nodes(), 3);
   EXPECT_EQ(cs.busy_gpus(), 20);
@@ -93,53 +87,50 @@ TEST(ClusterState, BusyCountersTrackAllocations) {
 }
 
 TEST(ClusterState, SleepingNodesAreUnschedulable) {
-  ClusterState cs(tiny_spec());
-  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 2), 2);
-  EXPECT_EQ(cs.active_nodes(), 3);
+  ClusterState cs(vc_spec(3));
+  EXPECT_EQ(cs.sleep_idle_nodes(2), 2);
+  EXPECT_EQ(cs.active_nodes(), 1);
   EXPECT_EQ(cs.sleeping_nodes(), 2);
-  // vcA lost both nodes -> allocation fails even though capacity exists.
-  const int free_a = cs.free_gpus(0);
-  const int sched_a = cs.schedulable_gpus(0);
-  EXPECT_EQ(free_a, sched_a);
-  EXPECT_LE(sched_a, 16);
+  EXPECT_EQ(cs.idle_active_nodes(), 1);
+  // Capacity stays, but only the awake node can host work.
+  EXPECT_EQ(cs.capacity_gpus(), 24);
+  EXPECT_EQ(cs.schedulable_gpus(), 8);
+  EXPECT_EQ(cs.free_gpus(), 8);
+  EXPECT_TRUE(cs.can_ever_fit(16));
+  EXPECT_FALSE(cs.try_allocate(16).has_value());
 }
 
 TEST(ClusterState, SleepSkipsBusyNodes) {
-  ClusterState cs(tiny_spec());
-  auto a = cs.try_allocate(0, 16);  // both vcA nodes busy
+  ClusterState cs(vc_spec(3));
+  auto a = cs.try_allocate(16);  // nodes 0 and 1 busy
   ASSERT_TRUE(a.has_value());
-  auto b = cs.try_allocate(1, 24);  // all vcB nodes busy
+  auto b = cs.try_allocate(1);  // node 2 busy
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 0);  // nothing idle to sleep
-  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);
+  EXPECT_EQ(cs.sleep_idle_nodes(5), 0);  // nothing idle to sleep
   cs.release(*a);
-  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);
-  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);  // only the two vcA nodes
+  EXPECT_EQ(cs.sleep_idle_nodes(5), 2);  // only the two released nodes
+  EXPECT_EQ(cs.node(2).power, PowerState::kActive);
 }
 
 TEST(ClusterState, WakeAndBootLifecycle) {
-  ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 3), 3);
-  EXPECT_EQ(cs.wake_nodes_in_vc(1, 2, /*now=*/1000, /*boot_delay=*/300), 2);
+  ClusterState cs(vc_spec(3));
+  ASSERT_EQ(cs.sleep_idle_nodes(3), 3);
+  EXPECT_EQ(cs.wake_nodes(2, /*now=*/1000, /*boot_delay=*/300), 2);
   // Booting nodes count as active (powered) but are not schedulable.
-  EXPECT_EQ(cs.active_nodes(), 4);
+  EXPECT_EQ(cs.active_nodes(), 2);
   EXPECT_EQ(cs.sleeping_nodes(), 1);
+  EXPECT_EQ(cs.booting_nodes(), 2);
+  EXPECT_EQ(cs.schedulable_gpus(), 0);
   ASSERT_TRUE(cs.next_boot_ready().has_value());
   EXPECT_EQ(*cs.next_boot_ready(), 1300);
   cs.finish_boots(1299);
   EXPECT_TRUE(cs.next_boot_ready().has_value());
   cs.finish_boots(1300);
   EXPECT_FALSE(cs.next_boot_ready().has_value());
-}
-
-TEST(ClusterState, WakeNodesInVc) {
-  ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);
-  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 3);
-  EXPECT_EQ(cs.wake_nodes_in_vc(0, 5, 0, 300), 2);  // vcA only has 2 nodes
-  cs.finish_boots(300);
-  EXPECT_EQ(cs.schedulable_gpus(0), 16);
-  EXPECT_EQ(cs.schedulable_gpus(1), 0);
+  EXPECT_EQ(cs.booting_nodes(), 0);
+  EXPECT_EQ(cs.schedulable_gpus(), 16);
+  // Waking asks for more nodes than are asleep: only the last one boots.
+  EXPECT_EQ(cs.wake_nodes(5, 2000, 300), 1);
 }
 
 }  // namespace

@@ -224,59 +224,57 @@ TEST(FaultPlan, LoadRejectsAHostileVcCountBeforeAllocating) {
 // ---------------------------------------------------------------------------
 
 TEST(ClusterState, FailAndRecoverAdjustCapacityIndexes) {
-  const auto spec = one_vc_spec(3);
-  ClusterState state(spec);
-  EXPECT_EQ(state.schedulable_gpus(0), 24);
+  ClusterState state(trace::VCSpec{"vc0", 3, 8});
+  EXPECT_EQ(state.schedulable_gpus(), 24);
 
   state.fail_node(1);
   EXPECT_EQ(state.failed_nodes(), 1);
-  EXPECT_EQ(state.failed_nodes_in_vc(0), 1);
-  EXPECT_EQ(state.schedulable_gpus(0), 16);
-  EXPECT_EQ(state.free_gpus(0), 16);
-  EXPECT_EQ(state.capacity_gpus(0), 24);  // transient: still counts capacity
-  EXPECT_TRUE(state.can_ever_fit(0, 24));
+  EXPECT_EQ(state.schedulable_gpus(), 16);
+  EXPECT_EQ(state.free_gpus(), 16);
+  EXPECT_EQ(state.capacity_gpus(), 24);  // transient: still counts capacity
+  EXPECT_TRUE(state.can_ever_fit(24));
   EXPECT_EQ(state.active_nodes(), 2);
   EXPECT_EQ(state.node(1).power, PowerState::kFailed);
 
   // Idempotent; allocation steers around the dead node.
   state.fail_node(1);
   EXPECT_EQ(state.failed_nodes(), 1);
-  auto alloc = state.try_allocate(0, 16);
+  auto alloc = state.try_allocate(16);
   ASSERT_TRUE(alloc.has_value());
   for (auto [ni, g] : alloc->node_gpus) EXPECT_NE(ni, 1);
 
   // 24 GPUs can never be placed while a node is down.
-  EXPECT_FALSE(state.try_allocate(0, 24).has_value());
+  EXPECT_FALSE(state.try_allocate(24).has_value());
 
   state.recover_node(1);
   EXPECT_EQ(state.failed_nodes(), 0);
-  EXPECT_EQ(state.schedulable_gpus(0), 24);
+  EXPECT_EQ(state.schedulable_gpus(), 24);
   // The 16-GPU gang from above is still held; only the repaired node is free.
-  EXPECT_EQ(state.free_gpus(0), state.node(1).total_gpus);
+  EXPECT_EQ(state.free_gpus(), state.node(1).total_gpus);
   EXPECT_EQ(state.node(1).power, PowerState::kActive);
   state.recover_node(1);  // no-op on an active node
   EXPECT_EQ(state.failed_nodes(), 0);
 }
 
 TEST(ClusterState, FailureTakesSleepingAndBootingNodes) {
-  const auto spec = one_vc_spec(2);
-  ClusterState state(spec);
-  ASSERT_EQ(state.sleep_idle_nodes_in_vc(0, 1), 1);  // node 0 sleeps
+  ClusterState state(trace::VCSpec{"vc0", 2, 8});
+  ASSERT_EQ(state.sleep_idle_nodes(1), 1);  // node 0 sleeps
   state.fail_node(0);
   EXPECT_EQ(state.sleeping_nodes(), 0);
   EXPECT_EQ(state.failed_nodes(), 1);
 
-  ASSERT_EQ(state.sleep_idle_nodes_in_vc(0, 1), 1);  // node 1 sleeps
-  ASSERT_EQ(state.wake_nodes_in_vc(0, 1, /*now=*/100, /*boot_delay=*/50), 1);
+  ASSERT_EQ(state.sleep_idle_nodes(1), 1);  // node 1 sleeps
+  ASSERT_EQ(state.wake_nodes(1, /*now=*/100, /*boot_delay=*/50), 1);
   state.fail_node(1);  // dies mid-boot: the pending boot must not resurrect it
   EXPECT_EQ(state.failed_nodes(), 2);
+  EXPECT_EQ(state.booting_nodes(), 0);
   state.finish_boots(1000);
   EXPECT_EQ(state.node(1).power, PowerState::kFailed);
-  EXPECT_EQ(state.schedulable_gpus(0), 0);
+  EXPECT_EQ(state.schedulable_gpus(), 0);
 
   state.recover_node(0);
   state.recover_node(1);
-  EXPECT_EQ(state.schedulable_gpus(0), 16);
+  EXPECT_EQ(state.schedulable_gpus(), 16);
   EXPECT_EQ(state.active_nodes(), 2);
 }
 

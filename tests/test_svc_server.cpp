@@ -11,11 +11,13 @@
 //  * concurrent queries — snapshot reads race ingest without synchronization
 //    (the ASan job of ci.sh runs this suite);
 //  * malformed SVCK checkpoints — every strict prefix throws, hostile queue
-//    and log counts are rejected as truncated, and a failed load leaves the
-//    server fresh for a following good load;
+//    and log counts are rejected as truncated, queue entries out of heap
+//    order or off their row's finish are rejected as corrupt, and a failed
+//    load leaves the server fresh for a following good load;
 //  * CsvTailer — header skip, partial-line handling, checkpoint resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -119,7 +121,7 @@ TEST(SvcServer, IncrementalFeedMatchesBatchBitwise) {
 
 TEST(SvcServer, LargeSingleBlockShardedParseMatchesBatchBitwise) {
   // One ingest_csv call with the whole month and a tiny parallel_parse_bytes
-  // forces the ParallelLoader sharded-parse branch of append_rows whenever
+  // forces the sharded-parse branch of ParallelLoader::append_rows whenever
   // the pool is wider than one thread (run with HELIOS_THREADS=8 on 1-core
   // machines); ids — and therefore priorities — must not depend on it.
   const Fixture fx;
@@ -197,6 +199,15 @@ TEST(SvcServer, KillAfterCheckpointRestoresAndResumesBitIdentical) {
 std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
   serialize::Reader r(std::span<const std::uint8_t>(bytes).subspan(at, 8));
   return r.u64();
+}
+
+/// Overwrite `width` little-endian bytes at `at` with `value`.
+void write_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+              std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(value >> (8 * i));
+  }
 }
 
 /// A small hand-built stream (50 context jobs, 20 streamed rows, long
@@ -302,10 +313,7 @@ TEST(SvcCheckpointMalformed, HostileCountsAreTruncatedAndLeaveTheServerFresh) {
     for (const std::uint64_t count :
          {std::uint64_t{1} << 60, ~std::uint64_t{0}}) {
       std::vector<std::uint8_t> bad = ck.payload;
-      for (int i = 0; i < 8; ++i) {
-        bad[at + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(count >> (8 * i));
-      }
+      write_le(bad, at, count, 8);
       const auto bytes = svck_section(bad);
       serialize::Reader r(bytes);
       try {
@@ -337,6 +345,67 @@ TEST(SvcCheckpointMalformed, HostileCountsAreTruncatedAndLeaveTheServerFresh) {
   server.ingest_csv(ts.rows_csv);
   target.ingest_csv(ts.rows_csv);
   EXPECT_EQ(target.priority_log(), server.priority_log());
+}
+
+/// Load a hand-edited checkpoint payload: it must be rejected as corrupt,
+/// leave `target` fresh, and the unedited payload must still restore it.
+void expect_corrupt_then_good_load(const std::vector<std::uint8_t>& bad,
+                                   const Checkpoint& ck,
+                                   const PredictionServer& server,
+                                   PredictionServer& target) {
+  const auto bytes = svck_section(bad);
+  serialize::Reader r(bytes);
+  try {
+    target.load(r);
+    ADD_FAILURE() << "accepted a corrupt queue";
+  } catch (const serialize::Error& e) {
+    EXPECT_EQ(e.code(), serialize::ErrorCode::kCorrupt) << e.what();
+  }
+  ASSERT_EQ(target.rows_ingested(), 0u);
+  EXPECT_TRUE(target.priority_log().empty());
+  const auto good = svck_section(ck.payload);
+  serialize::Reader g(good);
+  target.load(g);
+  EXPECT_EQ(target.priority_log(), server.priority_log());
+}
+
+// Queue entries sit after the u64 queue count, 12 bytes each: i64 finish,
+// u32 stream index.
+constexpr std::size_t kQueueEntryBytes = 12;
+
+TEST(SvcCheckpointMalformed, QueueFinishDifferentFromItsRowIsCorrupt) {
+  const TinyStream ts;
+  PredictionServer server(ts.fitted, ts.context);
+  server.ingest_csv(ts.rows_csv);
+  const Checkpoint ck = checkpoint_of(server);
+  ASSERT_GT(read_u64(ck.payload, ck.queue_count_at), 0u);
+  // Nudge the first entry's finish by one second: its row says otherwise,
+  // and a drain would observe that job one second late.
+  const std::size_t finish_at = ck.queue_count_at + 8;
+  std::vector<std::uint8_t> bad = ck.payload;
+  write_le(bad, finish_at, read_u64(bad, finish_at) + 1, 8);
+  PredictionServer target(ts.fitted, ts.context);
+  expect_corrupt_then_good_load(bad, ck, server, target);
+}
+
+TEST(SvcCheckpointMalformed, QueueOutOfHeapOrderIsCorrupt) {
+  const TinyStream ts;
+  PredictionServer server(ts.fitted, ts.context);
+  server.ingest_csv(ts.rows_csv);
+  const Checkpoint ck = checkpoint_of(server);
+  ASSERT_GE(read_u64(ck.payload, ck.queue_count_at), 2u);
+  // Swap the heap root with its first child: every entry still matches its
+  // row, but the root is no longer the earliest (finish, index).
+  const std::size_t root = ck.queue_count_at + 8;
+  const std::size_t child = root + kQueueEntryBytes;
+  std::vector<std::uint8_t> bad = ck.payload;
+  const auto at = [&bad](std::size_t off) {
+    return bad.begin() + static_cast<std::ptrdiff_t>(off);
+  };
+  ASSERT_FALSE(std::equal(at(root), at(child), at(child)));
+  std::swap_ranges(at(root), at(child), at(child));
+  PredictionServer target(ts.fitted, ts.context);
+  expect_corrupt_then_good_load(bad, ck, server, target);
 }
 
 TEST(SvcServer, FrozenQueryMatchesTracePathBitwise) {
