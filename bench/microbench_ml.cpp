@@ -2,14 +2,14 @@
 // GBDT training/inference, the online priority evaluator, Levenshtein
 // matching, name bucketization.
 //
-// The BM_GbdtFit / BM_GbdtPredictMany / BM_OnlineEvaluator benches run the
-// histogram engine (GBDTEngine::kHistogram) and the batched evaluator
-// (common::ExecMode::kParallel); the *Reference / *Serial variants run the
-// retained baselines for comparison. main() first asserts bit-for-bit
-// parity — histogram-vs-reference models (same trees, same training RMSE)
-// and batched-vs-serial evaluator priorities — so a perf run against a
-// broken trainer fails loudly instead of reporting a meaningless speedup.
-// See BENCH_ml.json for recorded before/after numbers.
+// BM_OnlineEvaluator runs the batched evaluator (common::ExecMode::kParallel)
+// and BM_OnlineEvaluatorSerial the serial one for comparison. main() first
+// asserts bit-for-bit parity — predict_many vs per-row predict, the AVX2 vs
+// scalar walk, batched vs serial evaluator priorities, and the save/load
+// round trip — so a perf run against a broken path fails loudly instead of
+// reporting a meaningless speedup. The trainer's own parity oracle lives in
+// test_prediction_parity. See BENCH_ml.json for recorded before/after
+// numbers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -60,7 +60,7 @@ const ml::Dataset& philly_dataset() {
   return d;
 }
 
-ml::GBDTConfig philly_cfg(ml::GBDTEngine engine) {
+ml::GBDTConfig philly_cfg() {
   ml::GBDTConfig cfg;
   cfg.n_trees = 20;
   cfg.max_depth = 6;
@@ -68,7 +68,6 @@ ml::GBDTConfig philly_cfg(ml::GBDTEngine engine) {
   cfg.min_samples_leaf = 30;
   cfg.subsample = 0.7;
   cfg.max_bins = 64;
-  cfg.engine = engine;
   return cfg;
 }
 
@@ -87,9 +86,9 @@ class ScopedSimd {
   bool prev_;
 };
 
-void run_fit(benchmark::State& state, ml::GBDTEngine engine) {
+void BM_GbdtFit(benchmark::State& state) {
   const auto& data = philly_dataset();
-  const auto cfg = philly_cfg(engine);
+  const auto cfg = philly_cfg();
   for (auto _ : state) {
     ml::GBDTRegressor model(cfg);
     model.fit(data);
@@ -99,14 +98,7 @@ void run_fit(benchmark::State& state, ml::GBDTEngine engine) {
                           static_cast<std::int64_t>(data.rows()));
 }
 
-void BM_GbdtFit(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kHistogram);
-}
-void BM_GbdtFitReference(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kReference);
-}
 BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GbdtFitReference)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Raw histogram kernel (the training hot loop, no tree machinery around it)
@@ -117,8 +109,7 @@ void BM_HistogramKernel(benchmark::State& state) {
   ml::FeatureBinner binner;
   Rng rng(3);
   binner.fit(data, 64, rng);
-  const ml::BinnedMatrix x =
-      ml::bin_dataset(data, binner, ml::BinLayout::kRowMajor);
+  const ml::BinnedMatrix x = ml::bin_dataset(data, binner);
   const auto total_bins = static_cast<std::size_t>(x.feature_offset.back());
   std::vector<std::uint32_t> rows(x.rows);
   std::iota(rows.begin(), rows.end(), 0u);
@@ -146,7 +137,7 @@ BENCHMARK(BM_HistogramKernel)->Unit(benchmark::kMillisecond);
 
 const ml::GBDTRegressor& philly_model() {
   static const ml::GBDTRegressor model = [] {
-    auto cfg = philly_cfg(ml::GBDTEngine::kHistogram);
+    auto cfg = philly_cfg();
     cfg.n_trees = 60;
     ml::GBDTRegressor m(cfg);
     m.fit(philly_dataset());
@@ -347,29 +338,19 @@ bool models_equal(const ml::GBDTRegressor& a, const ml::GBDTRegressor& b) {
   return true;
 }
 
-/// Hard gate: the histogram engine must reproduce the reference trainer
-/// bit-for-bit, and the batched evaluator the serial one, on the benchmark
-/// workloads, before any timing runs.
+/// Hard gate: batched inference must reproduce per-row inference, and the
+/// batched evaluator the serial one, on the benchmark workloads, before any
+/// timing runs.
 void verify_parity() {
   Rng rng(7);
   const ml::Dataset data = make_dataset(20'000, 9, rng);
-  auto cfg = philly_cfg(ml::GBDTEngine::kHistogram);
+  auto cfg = philly_cfg();
   cfg.n_trees = 10;
-  auto ref_cfg = cfg;
-  ref_cfg.engine = ml::GBDTEngine::kReference;
-  ml::GBDTRegressor hist_model(cfg);
-  ml::GBDTRegressor ref_model(ref_cfg);
-  hist_model.fit(data);
-  ref_model.fit(data);
-  if (!models_equal(hist_model, ref_model)) {
-    std::fprintf(stderr,
-                 "FATAL: histogram GBDT engine diverges from the reference "
-                 "trainer\n");
-    std::exit(1);
-  }
-  const auto batched = hist_model.predict_many(data);
+  ml::GBDTRegressor model(cfg);
+  model.fit(data);
+  const auto batched = model.predict_many(data);
   for (std::size_t r = 0; r < data.rows(); ++r) {
-    if (batched[r] != hist_model.predict(data.row(r))) {
+    if (batched[r] != model.predict(data.row(r))) {
       std::fprintf(stderr,
                    "FATAL: predict_many diverges from per-row predict\n");
       std::exit(1);
@@ -382,9 +363,9 @@ void verify_parity() {
   {
     const bool ambient = helios::common::simd_enabled();
     if (helios::common::set_simd_enabled(true)) {
-      const auto simd_batched = hist_model.predict_many(data);
+      const auto simd_batched = model.predict_many(data);
       helios::common::set_simd_enabled(false);
-      if (hist_model.predict_many(data) != simd_batched) {
+      if (model.predict_many(data) != simd_batched) {
         std::fprintf(stderr,
                      "FATAL: AVX2 forest walk diverges from the scalar "
                      "predict path\n");
@@ -431,12 +412,12 @@ void verify_parity() {
   // bit-identically (the BM_GbdtSave/BM_GbdtLoad timings are meaningless if
   // the round trip is lossy).
   serialize::Writer w;
-  hist_model.save(w);
+  model.save(w);
   const auto body = serialize::unframe(serialize::frame(w));
   serialize::Reader reader(body);
   ml::GBDTRegressor loaded;
   loaded.load(reader);
-  if (!models_equal(hist_model, loaded) ||
+  if (!models_equal(model, loaded) ||
       loaded.predict_many(data) != batched) {
     std::fprintf(stderr,
                  "FATAL: GBDT save/load round trip is not bit-identical\n");

@@ -151,8 +151,9 @@ cmake --build build -j "$(nproc)"
 if [ "$mode" = bench ]; then
   # Perf smoke: run each microbenchmark briefly; any crash, assertion (the
   # sim bench verifies sharded-vs-serial parity, the ML bench verifies
-  # histogram-vs-reference GBDT and chunked-vs-serial evaluator parity, both
-  # at startup), or missing binary fails the script.
+  # batched-vs-per-row predict, SIMD-vs-scalar, batched-vs-serial evaluator
+  # and save/load parity, both at startup), or missing binary fails the
+  # script. The GBDT trainer's parity oracle runs in test_prediction_parity.
   if [ ! -x build/microbench_sim ]; then
     echo "FAIL: microbench_sim not built (install google-benchmark)" >&2
     exit 1

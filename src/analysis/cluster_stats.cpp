@@ -78,29 +78,6 @@ UtilizationSeries utilization_series(const Trace& t, UnixTime begin, UnixTime en
   return s;
 }
 
-UtilizationSeries vc_utilization_series(const Trace& t, int vc_index,
-                                        UnixTime begin, UnixTime end,
-                                        std::int64_t step) {
-  UtilizationSeries s;
-  s.begin = begin;
-  s.step = step;
-  const auto& vcs = t.cluster().vcs;
-  const bool known = vc_index >= 0 && vc_index < static_cast<int>(vcs.size());
-  const auto* vc = known ? &vcs[static_cast<std::size_t>(vc_index)] : nullptr;
-  // Parsed traces intern VC names in first-occurrence order, so the spec
-  // index is not an interned id: resolve by name.
-  const auto vc_id = vc ? t.vcs().find(vc->name) : StringInterner::kNotFound;
-  s.values = busy_gpu_seconds(
-      t, begin, end, step,
-      [vc_id](const JobRecord& j) { return j.vc == vc_id; });
-  const double gpus = vc ? vc->total_gpus() : 0.0;
-  const double capacity = gpus * static_cast<double>(step);
-  if (capacity > 0.0) {
-    for (auto& v : s.values) v /= capacity;
-  }
-  return s;
-}
-
 std::array<double, 24> hourly_profile(const UtilizationSeries& s) {
   std::array<double, 24> sum{};
   std::array<double, 24> count{};

@@ -44,14 +44,6 @@ using JobPredicate = std::function<bool(const trace::JobRecord&)>;
     const trace::Trace& t, UnixTime begin, UnixTime end, std::int64_t step,
     const JobPredicate& pred = nullptr);
 
-/// Utilization restricted to spec VC `vc_index` (capacity = that VC's GPUs).
-/// Jobs are matched by the VC's name, not by the index: a parsed trace
-/// interns VC names in first-occurrence order.
-[[nodiscard]] UtilizationSeries vc_utilization_series(const trace::Trace& t,
-                                                      int vc_index,
-                                                      UnixTime begin, UnixTime end,
-                                                      std::int64_t step);
-
 /// Average utilization per hour-of-day (Figure 2a): buckets the series by
 /// the hour their midpoint falls in.
 [[nodiscard]] std::array<double, 24> hourly_profile(const UtilizationSeries& s);

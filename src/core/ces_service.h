@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/framework.h"
 #include "core/power_model.h"
 #include "forecast/models.h"
 #include "sim/simulator.h"
@@ -107,21 +106,19 @@ class DrsController final : public sim::PowerController {
   std::vector<char> affected_;  ///< per job: head of queue while nodes booted
 };
 
-class CesService final : public Service {
+class CesService {
  public:
   /// The forecaster models the *running nodes* series; the paper's choice is
   /// a GBDT (forecast::GBDTForecaster), compared against ARIMA/Prophet-like
   /// baselines in ablation_forecast.
   CesService(CesConfig config, std::unique_ptr<forecast::Forecaster> model);
 
-  [[nodiscard]] std::string name() const override { return "ces"; }
-
   /// Train the forecaster on the historical running-nodes series (e.g. the
   /// FIFO-operated April-August trace).
   void fit(const forecast::TimeSeries& running_nodes_history);
 
   /// Model Update Engine hook (re-fits from the operated trace's series).
-  void update(const trace::Trace& new_data) override;
+  void update(const trace::Trace& new_data);
 
   /// Replay `eval` (GPU jobs inside [begin, end), FIFO order) under
   /// Algorithm 2. `history` is the observed running-nodes series preceding

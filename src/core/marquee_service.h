@@ -6,7 +6,7 @@
 // recommends that "the scheduler can dynamically adjust temporary priorities
 // to users, especially to the marquee ones, based on their current job
 // queuing statuses". This service implements that recommendation as a third
-// plug-in for the prediction framework: it watches per-user queuing-delay
+// service beside QSSF and CES: it watches per-user queuing-delay
 // and GPU-time shares on the operated history and exposes a priority
 // multiplier that boosts (shrinks the QSSF priority value of) marquee users'
 // jobs.
@@ -15,7 +15,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/framework.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 
@@ -33,15 +32,13 @@ struct MarqueeConfig {
   double priority_boost = 0.5;
 };
 
-class MarqueeService final : public Service {
+class MarqueeService {
  public:
   explicit MarqueeService(MarqueeConfig config = {}) : config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return "marquee"; }
-
   /// Recompute marquee users from an *operated* trace (start times must
   /// reflect a real schedule, e.g. sim::operate_fifo output).
-  void update(const trace::Trace& operated) override;
+  void update(const trace::Trace& operated);
 
   [[nodiscard]] bool is_marquee(const std::string& user) const;
   [[nodiscard]] std::size_t marquee_count() const noexcept {

@@ -31,17 +31,33 @@ ml::GBDTConfig QssfConfig::default_gbdt_config() {
 
 namespace {
 
-/// Why a pair of rolling knobs is unusable, or nullptr. find_name converts
+/// Whether `x` lies in [0, 1]; false for NaN.
+bool in_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
+
+/// Why the rolling knobs are unusable, or nullptr. find_name converts
 /// threshold × name length to size_t, which is undefined for a negative or
-/// NaN threshold (the normalised distance it bounds lies in [0, 1]), and a
-/// zero name cap makes observe's eviction erase the end of an empty list.
+/// NaN threshold (the normalised distance it bounds lies in [0, 1]); the
+/// decay weighs old against new durations, so outside [0, 1] the EWMAs go
+/// negative or unbounded; and a zero name cap makes observe's eviction
+/// erase the end of an empty list.
 const char* rolling_knob_error(double name_match_threshold,
+                               double rolling_decay,
                                std::size_t max_names_per_user) {
-  if (!(name_match_threshold >= 0.0 && name_match_threshold <= 1.0)) {
+  if (!in_unit_interval(name_match_threshold)) {
     return "name_match_threshold outside [0, 1]";
   }
+  if (!in_unit_interval(rolling_decay)) return "rolling_decay outside [0, 1]";
   if (max_names_per_user == 0) return "max_names_per_user is 0";
   return nullptr;
+}
+
+/// Why a QSSF config is unusable, or nullptr: the rolling knobs, plus λ,
+/// which mixes the rolling and GBDT estimates (a NaN λ prices every job
+/// NaN, and NaN is not an order the scheduler can sort by).
+const char* qssf_knob_error(const QssfConfig& c) {
+  if (!in_unit_interval(c.lambda)) return "lambda outside [0, 1]";
+  return rolling_knob_error(c.name_match_threshold, c.rolling_decay,
+                            c.max_names_per_user);
 }
 
 }  // namespace
@@ -51,8 +67,8 @@ RollingEstimator::RollingEstimator(const QssfConfig& config)
       name_match_threshold_(config.name_match_threshold),
       rolling_decay_(config.rolling_decay),
       max_names_per_user_(config.max_names_per_user) {
-  if (const char* why = rolling_knob_error(name_match_threshold_,
-                                           max_names_per_user_)) {
+  if (const char* why = rolling_knob_error(
+          name_match_threshold_, rolling_decay_, max_names_per_user_)) {
     throw std::invalid_argument(std::string("QssfConfig: ") + why);
   }
 }
@@ -268,8 +284,9 @@ void RollingEstimator::load(serialize::Reader& r) {
   out.name_match_threshold_ = s.f64();
   out.rolling_decay_ = s.f64();
   out.max_names_per_user_ = static_cast<std::size_t>(s.u64());
-  if (const char* why = rolling_knob_error(out.name_match_threshold_,
-                                           out.max_names_per_user_)) {
+  if (const char* why =
+          rolling_knob_error(out.name_match_threshold_, out.rolling_decay_,
+                             out.max_names_per_user_)) {
     throw serialize::Error(serialize::ErrorCode::kCorrupt,
                            std::string("rolling section: ") + why);
   }
@@ -312,7 +329,11 @@ QssfService::QssfService(QssfConfig config)
     : config_(config),
       model_(config.gbdt),
       name_buckets_(config.name_match_threshold, /*prefix_len=*/6),
-      rolling_(config) {}
+      rolling_(config) {
+  if (const char* why = qssf_knob_error(config_)) {
+    throw std::invalid_argument(std::string("QssfConfig: ") + why);
+  }
+}
 
 void QssfService::encode(const Trace& t, const JobRecord& job,
                          std::vector<double>& out) const {
@@ -392,8 +413,7 @@ void QssfService::load(serialize::Reader& r) {
   cfg.rolling_decay = s.f64();
   cfg.max_names_per_user = static_cast<std::size_t>(s.u64());
   cfg.use_names = s.u8() != 0;
-  if (const char* why = rolling_knob_error(cfg.name_match_threshold,
-                                           cfg.max_names_per_user)) {
+  if (const char* why = qssf_knob_error(cfg)) {
     throw serialize::Error(serialize::ErrorCode::kCorrupt,
                            std::string("qssf section: ") + why);
   }

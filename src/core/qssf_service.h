@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/exec_mode.h"
-#include "core/framework.h"
 #include "ml/gbdt.h"
 #include "ml/levenshtein.h"
 #include "sim/simulator.h"
@@ -91,8 +90,8 @@ struct QssfConfig {
 class RollingEstimator {
  public:
   RollingEstimator() = default;
-  /// Throws std::invalid_argument if name_match_threshold lies outside
-  /// [0, 1] (or is NaN) or max_names_per_user is 0.
+  /// Throws std::invalid_argument if name_match_threshold or rolling_decay
+  /// lies outside [0, 1] (or is NaN) or max_names_per_user is 0.
   explicit RollingEstimator(const QssfConfig& config);
 
   /// Absorb one finished GPU job (idempotent per job_id).
@@ -170,12 +169,11 @@ struct JobQuery {
   UnixTime submit_time = 0;
 };
 
-class QssfService final : public Service {
+class QssfService {
  public:
-  /// Throws std::invalid_argument on a config RollingEstimator rejects.
+  /// Throws std::invalid_argument on a config RollingEstimator rejects, or
+  /// on a lambda outside [0, 1] (or NaN).
   explicit QssfService(QssfConfig config = {});
-
-  [[nodiscard]] std::string name() const override { return "qssf"; }
 
   /// Train the GBDT and seed the rolling estimator from a historical trace
   /// (the paper trains on April-August and evaluates on September).
@@ -184,7 +182,7 @@ class QssfService final : public Service {
   /// Model Update Engine hook: absorb finished jobs into the rolling
   /// estimator (already-seen job ids are skipped, so cumulative feeds are
   /// safe) and refresh the GBDT on the given trace.
-  void update(const trace::Trace& new_data) override;
+  void update(const trace::Trace& new_data);
 
   /// Absorb a single finished job into the rolling estimator (no GBDT refit).
   void observe(const trace::Trace& t, const trace::JobRecord& job);

@@ -7,28 +7,21 @@
 // histograms by best variance gain; leaves output the shrunk mean residual.
 // Row subsampling per tree gives stochastic boosting.
 //
-// Two engines share the scaffolding (binning, row caps, subsampling,
-// residuals — identical RNG streams) and must produce bit-identical models:
+// The trainer keeps persistent per-node row sets, builds only the smaller
+// child's histograms and derives the sibling by subtracting from the parent,
+// accumulates histograms row-parallel into per-chunk buffers merged on the
+// shared ThreadPool, and tracks each sampled row's leaf during construction
+// so the per-tree prediction update is an O(1) lookup per row over the
+// binned matrix. A node histogram holds separate int64 gradient sums and row
+// counts; the accumulation kernel (ml/gbdt_kernels.h) packs both into one
+// int64 per bucket only within runs of at most 16384 rows, so training-set
+// size is unbounded.
 //
-//  * GBDTEngine::kHistogram (default) keeps persistent per-node row sets,
-//    builds only the smaller child's histograms and derives the sibling by
-//    subtracting from the parent, accumulates histograms row-parallel into
-//    per-chunk buffers merged on the shared ThreadPool, and tracks each
-//    sampled row's leaf during construction so the per-tree prediction
-//    update is an O(1) lookup per row over the binned matrix. A node
-//    histogram holds separate int64 gradient sums and row counts; the
-//    accumulation kernel (ml/gbdt_kernels.h) packs both into one int64 per
-//    bucket only within runs of at most 16384 rows, so training-set size is
-//    unbounded.
-//  * GBDTEngine::kReference retains the straightforward pre-histogram-engine
-//    trainer: every node rebuilds its histograms from scratch and the
-//    prediction update re-traverses raw features row by row. It exists as
-//    the parity baseline (mirroring common::ExecMode::kSerial).
-//
-// Bit-for-bit parity across engines and thread counts is possible because
-// per-tree gradients are quantized to int64 (QuantizedGradients): integer
-// histogram sums are exact under any accumulation order and under sibling
-// subtraction, so split decisions and leaf values cannot drift.
+// Bit-for-bit parity across thread counts, and with the from-scratch
+// boosting loop test_prediction_parity keeps as its oracle, is possible
+// because per-tree gradients are quantized to int64 (QuantizedGradients):
+// integer histogram sums are exact under any accumulation order and under
+// sibling subtraction, so split decisions and leaf values cannot drift.
 //
 // The batched predict_many walk additionally has an AVX2 form
 // (ml/gbdt_kernels.h) selected at runtime via common::simd_enabled(); it
@@ -36,8 +29,8 @@
 // speed only. Training has one scalar kernel and never reads the dispatch.
 //
 // Determinism: fit() is a pure function of (dataset, config) — the same
-// inputs produce the same trees bit-for-bit on any thread count and either
-// engine (test_prediction_parity pins this). predict()/predict_many() are
+// inputs produce the same trees bit-for-bit on any thread count
+// (test_prediction_parity pins this). predict()/predict_many() are
 // pure functions of the fitted model, and a model restored via load() (see
 // docs/FORMATS.md, "GBDT" section) predicts bit-identically to the original
 // (test_serialize pins this).
@@ -63,11 +56,6 @@ class Writer;
 
 namespace helios::ml {
 
-enum class GBDTEngine {
-  kHistogram,  ///< sibling-subtraction histogram engine (default)
-  kReference,  ///< retained from-scratch trainer (parity/benchmark baseline)
-};
-
 struct GBDTConfig {
   int n_trees = 80;
   int max_depth = 6;
@@ -79,13 +67,12 @@ struct GBDTConfig {
   std::uint64_t seed = 42;
   /// Cap on training rows (uniform subsample above it); 0 = no cap.
   std::size_t max_training_rows = 0;
-  GBDTEngine engine = GBDTEngine::kHistogram;
 };
 
 /// Per-tree gradients quantized to a fixed-point int64 grid. The scale is a
 /// power of two chosen so the sum over every training row cannot overflow;
 /// int64 histogram sums are then exact and order-independent, which is what
-/// makes engine/thread-count parity bit-for-bit instead of approximate.
+/// makes thread-count parity bit-for-bit instead of approximate.
 struct QuantizedGradients {
   /// Per-row quantized gradient; fits int32 by construction (the scale caps
   /// |q| below 2^30), halving the memory traffic of every histogram pass.
@@ -117,12 +104,11 @@ class RegressionTree {
     std::int32_t left = -1;
     std::int32_t right = -1;
     double value = 0.0;  ///< leaf output
-    double gain = 0.0;   ///< split gain (for feature importance)
+    double gain = 0.0;   ///< split gain (kept in the TREE section)
   };
 
-  /// Fit to the quantized gradients of `rows` over the binned matrix
-  /// (row-major for kHistogram, column-major for kReference). `rows` is the
-  /// persistent row set, partitioned in place per node. `leaf_of` must have
+  /// Fit to the quantized gradients of `rows` over the binned matrix.
+  /// `rows` is the persistent row set, partitioned in place per node. `leaf_of` must have
   /// X.rows entries; the leaf node id of every row in `rows` is recorded
   /// there (other entries are left untouched).
   void fit(const BinnedMatrix& x, const FeatureBinner& binner,
@@ -193,9 +179,6 @@ class GBDTRegressor {
   /// row-parallel. Bitwise-identical to calling predict() per row.
   [[nodiscard]] std::vector<double> predict_many(const Dataset& data) const;
 
-  /// Total split gain accumulated per feature.
-  [[nodiscard]] std::vector<double> feature_importance() const;
-
   /// Training RMSE after each boosting iteration (for convergence tests).
   [[nodiscard]] const std::vector<double>& training_rmse() const noexcept {
     return train_rmse_;
@@ -217,7 +200,8 @@ class GBDTRegressor {
   /// Replace this model with the persisted one. The loaded model predicts
   /// bit-identically to the saved one (predict and predict_many). Throws
   /// serialize::Error on malformed input, leaving no partially-adopted
-  /// state behind.
+  /// state behind; that includes any model that could predict a non-finite
+  /// value (docs/FORMATS.md, "Load-time validation").
   void load(serialize::Reader& r);
 
  private:

@@ -44,11 +44,4 @@ std::vector<double> log_space_points(double lo, double hi, int n) {
   return pts;
 }
 
-double ks_statistic(const Ecdf& a, const Ecdf& b) {
-  double sup = 0.0;
-  for (double x : a.sorted_sample()) sup = std::max(sup, std::abs(a(x) - b(x)));
-  for (double x : b.sorted_sample()) sup = std::max(sup, std::abs(a(x) - b(x)));
-  return sup;
-}
-
 }  // namespace helios::stats

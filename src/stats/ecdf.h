@@ -38,8 +38,4 @@ class Ecdf {
 /// `n` log-spaced points from lo to hi inclusive (lo, hi > 0).
 [[nodiscard]] std::vector<double> log_space_points(double lo, double hi, int n);
 
-/// Two-sample Kolmogorov-Smirnov statistic sup_x |F1(x) - F2(x)|.
-/// Used by property tests to compare generated distributions against targets.
-[[nodiscard]] double ks_statistic(const Ecdf& a, const Ecdf& b);
-
 }  // namespace helios::stats

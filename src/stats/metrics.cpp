@@ -44,20 +44,6 @@ double rmse(std::span<const double> actual,
   return std::sqrt(acc / static_cast<double>(n));
 }
 
-double mape(std::span<const double> actual,
-            std::span<const double> predicted) noexcept {
-  const std::size_t n = common_size(actual, predicted);
-  double acc = 0.0;
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (actual[i] != 0.0) {
-      acc += 100.0 * std::abs((actual[i] - predicted[i]) / actual[i]);
-      ++used;
-    }
-  }
-  return used > 0 ? acc / static_cast<double>(used) : 0.0;
-}
-
 double r2(std::span<const double> actual,
           std::span<const double> predicted) noexcept {
   const std::size_t n = common_size(actual, predicted);

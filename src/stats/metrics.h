@@ -22,11 +22,6 @@ namespace helios::stats {
 [[nodiscard]] double rmse(std::span<const double> actual,
                           std::span<const double> predicted) noexcept;
 
-/// Mean Absolute Percentage Error in percent; terms with actual == 0 are
-/// skipped.
-[[nodiscard]] double mape(std::span<const double> actual,
-                          std::span<const double> predicted) noexcept;
-
 /// Coefficient of determination R^2 (can be negative for bad fits).
 [[nodiscard]] double r2(std::span<const double> actual,
                         std::span<const double> predicted) noexcept;

@@ -127,15 +127,6 @@ TEST(UtilizationSeries, NormalizedByCapacity) {
   EXPECT_DOUBLE_EQ(s.values[0], 0.5);
 }
 
-TEST(VcUtilizationSeries, UsesVcCapacity) {
-  Trace t(spec_2x8());
-  t.add(0, 100, 8, 8, "u", "vcA", "a", JobState::kCompleted);
-  const auto s = vc_utilization_series(t, 0, 0, 100, 100);
-  EXPECT_DOUBLE_EQ(s.values[0], 1.0);  // vcA fully busy
-  const auto s2 = vc_utilization_series(t, 1, 0, 100, 100);
-  EXPECT_DOUBLE_EQ(s2.values[0], 0.0);
-}
-
 TEST(HourlyProfile, AveragesByHourOfDay) {
   UtilizationSeries s;
   s.begin = from_civil(2020, 6, 1);
@@ -283,6 +274,23 @@ TEST(VcBehaviors, SortedBySizeWithStats) {
   EXPECT_DOUBLE_EQ(with_job.avg_duration, 600.0);
 }
 
+/// Utilization series of spec VC `vc_index` (capacity = that VC's GPUs), the
+/// independent oracle for vc_behaviors: jobs are matched by the VC's name,
+/// since a parsed trace interns VC names in first-occurrence order.
+std::vector<double> vc_series(const Trace& t, int vc_index, UnixTime begin,
+                              UnixTime end, std::int64_t step) {
+  const auto& vc = t.cluster().vcs[static_cast<std::size_t>(vc_index)];
+  const auto vc_id = t.vcs().find(vc.name);
+  std::vector<double> v =
+      busy_gpu_seconds(t, begin, end, step, [vc_id](const trace::JobRecord& j) {
+        return j.vc == vc_id;
+      });
+  const double capacity =
+      static_cast<double>(vc.total_gpus()) * static_cast<double>(step);
+  for (double& x : v) x /= capacity;
+  return v;
+}
+
 TEST(VcBehaviors, ResolvesVcByNameNotSpecIndex) {
   // The first row belongs to the second spec VC, so the interner gives vcB
   // id 0 and vcA id 1: the reverse of the spec indices.
@@ -301,8 +309,8 @@ TEST(VcBehaviors, ResolvesVcByNameNotSpecIndex) {
     EXPECT_EQ(vc.utilization.q1, util) << vc.name;
     EXPECT_EQ(vc.avg_gpu_request, req) << vc.name;
   }
-  EXPECT_EQ(vc_utilization_series(t, 0, day, day + 3600, 600).values[0], 0.25);
-  EXPECT_EQ(vc_utilization_series(t, 1, day, day + 3600, 600).values[0], 1.0);
+  EXPECT_EQ(vc_series(t, 0, day, day + 3600, 600)[0], 0.25);
+  EXPECT_EQ(vc_series(t, 1, day, day + 3600, 600)[0], 1.0);
 }
 
 void expect_same_box(const stats::BoxStats& a, const stats::BoxStats& b) {
@@ -382,9 +390,9 @@ TEST(VcBehaviors, BoxEqualsSortingBoxStatsOfTheSeries) {
     for (const std::int64_t step : {60, 600}) {
       for (const auto& b : vc_behaviors(*c.t, c.begin, c.end, step)) {
         SCOPED_TRACE(b.name);
-        const auto series =
-            vc_utilization_series(*c.t, b.vc_index, c.begin, c.end, step);
-        expect_same_box(b.utilization, stats::box_stats(series.values));
+        expect_same_box(b.utilization,
+                        stats::box_stats(vc_series(*c.t, b.vc_index, c.begin,
+                                                   c.end, step)));
       }
     }
   }

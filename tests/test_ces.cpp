@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/ces_service.h"
-#include "core/framework.h"
 #include "sim/simulator.h"
 #include "sweep/scenario.h"
 #include "trace/synthetic.h"
@@ -259,26 +258,6 @@ TEST(CesService, ForecastTracksActual) {
             static_cast<std::size_t>(
                 (f.eval_end - f.eval_begin) / test_config().check_interval) -
                 1);
-}
-
-TEST(Framework, RegisterFindUpdate) {
-  class CountingService final : public Service {
-   public:
-    [[nodiscard]] std::string name() const override { return "counting"; }
-    void update(const Trace&) override { ++updates; }
-    int updates = 0;
-  };
-  PredictionFramework fw("Earth");
-  auto& svc = dynamic_cast<CountingService&>(
-      fw.register_service(std::make_unique<CountingService>()));
-  EXPECT_EQ(fw.service_count(), 1u);
-  EXPECT_EQ(fw.find("counting"), &svc);
-  EXPECT_EQ(fw.find("missing"), nullptr);
-  Trace t;
-  fw.update_all(t);
-  fw.update_all(t);
-  EXPECT_EQ(svc.updates, 2);
-  EXPECT_EQ(fw.cluster_name(), "Earth");
 }
 
 }  // namespace

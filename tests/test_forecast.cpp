@@ -43,24 +43,6 @@ TEST(Series, SliceAndIndexing) {
   EXPECT_EQ(win.size(), 3u);
 }
 
-TEST(Series, RollingMean) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto m = rolling_mean(v, 3);
-  ASSERT_EQ(m.size(), 5u);
-  EXPECT_DOUBLE_EQ(m[0], 1.0);
-  EXPECT_DOUBLE_EQ(m[1], 1.5);
-  EXPECT_DOUBLE_EQ(m[2], 2.0);
-  EXPECT_DOUBLE_EQ(m[4], 4.0);
-}
-
-TEST(Series, RollingStd) {
-  const std::vector<double> v = {5.0, 5.0, 5.0, 5.0};
-  for (double s : rolling_std(v, 2)) EXPECT_NEAR(s, 0.0, 1e-12);
-  const std::vector<double> w = {0.0, 10.0, 0.0, 10.0};
-  const auto s = rolling_std(w, 2);
-  EXPECT_NEAR(s[1], 5.0, 1e-12);
-}
-
 TEST(Series, Diff) {
   const std::vector<double> v = {1.0, 4.0, 9.0};
   const auto d = diff(v);

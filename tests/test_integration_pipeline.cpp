@@ -1,5 +1,5 @@
 // End-to-end pipeline integration: generator -> FIFO operation ->
-// characterization -> framework services, all on one shared fixture — the
+// characterization -> prediction services, all on one shared fixture — the
 // exact composition every bench harness uses.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "analysis/cluster_stats.h"
 #include "analysis/job_stats.h"
 #include "core/ces_service.h"
-#include "core/framework.h"
 #include "core/qssf_service.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -71,24 +70,18 @@ TEST(Pipeline, BusyNodeSeriesConsistentWithBusyGpus) {
   }
 }
 
-TEST(Pipeline, FrameworkHostsBothServices) {
+TEST(Pipeline, ModelUpdateRetrainsServices) {
   auto& p = pipeline();
-  core::PredictionFramework fw("Venus");
   core::QssfConfig qcfg;
   qcfg.gbdt.n_trees = 8;
-  auto& qssf = static_cast<core::QssfService&>(
-      fw.register_service(std::make_unique<core::QssfService>(qcfg)));
-  auto& ces = static_cast<core::CesService&>(fw.register_service(
-      std::make_unique<core::CesService>(
-          core::CesConfig{},
-          std::make_unique<forecast::SeasonalNaiveForecaster>(144))));
-  EXPECT_EQ(fw.service_count(), 2u);
-  EXPECT_EQ(fw.find("qssf"), &qssf);
-  EXPECT_EQ(fw.find("ces"), &ces);
+  core::QssfService qssf(qcfg);
+  core::CesService ces(core::CesConfig{},
+                       std::make_unique<forecast::SeasonalNaiveForecaster>(144));
 
   // Model Update Engine round: both services retrain from fresh data.
   const auto recent = p.t.between(from_civil(2020, 8, 1), from_civil(2020, 9, 1));
-  fw.update_all(recent);
+  qssf.update(recent);
+  ces.update(recent);
   EXPECT_TRUE(qssf.trained());
 
   // The refreshed QSSF must produce sane priorities for new jobs.

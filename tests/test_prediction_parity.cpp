@@ -1,14 +1,15 @@
 // Golden parity suite for the prediction layer (smoke):
 //
-//  * GBDTEngine::kHistogram (sibling-subtraction, row-parallel histograms
-//    accumulated in packed runs) must reproduce GBDTEngine::kReference
-//    bit-for-bit — same trees (features, split bins, thresholds, leaf
-//    values, gains) and the same per-iteration training RMSE — across seeds
-//    and configs on trace::synthetic-derived data, including a training set
-//    large enough that node histograms span several packed kernel runs.
-//    Exactness is by construction (int64 quantized gradients), and this
-//    suite is the regression net for the row-set / run / subtraction /
-//    leaf-tracking machinery on top.
+//  * GBDTRegressor::fit (sibling-subtraction, row-parallel histograms
+//    accumulated in packed runs) must reproduce the from-scratch boosting
+//    loop below (oracle_fit) bit-for-bit — same trees (features, split
+//    bins, thresholds, leaf values, gains) and the same per-iteration
+//    training RMSE — across seeds and configs on trace::synthetic-derived
+//    data, the microbench_ml workload, denormal-tiny gradients, and a
+//    training set large enough that node histograms span several packed
+//    kernel runs. Exactness is by construction (int64 quantized gradients),
+//    and this suite is the regression net for the row-set / run /
+//    subtraction / leaf-tracking machinery on top.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
 //  * OnlinePriorityEvaluator's batched mode (one predict_many pass for the
@@ -22,7 +23,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/simd.h"
 #include "core/qssf_service.h"
 #include "ml/dataset.h"
@@ -76,15 +80,178 @@ Dataset trace_dataset(const trace::Trace& t) {
   return d;
 }
 
-void expect_models_identical(const GBDTRegressor& a, const GBDTRegressor& b) {
-  ASSERT_EQ(a.tree_count(), b.tree_count());
-  ASSERT_EQ(a.training_rmse().size(), b.training_rmse().size());
-  for (std::size_t i = 0; i < a.training_rmse().size(); ++i) {
-    ASSERT_EQ(a.training_rmse()[i], b.training_rmse()[i]) << "rmse @" << i;
+/// What the oracle fits: every tree's nodes in build order, and the training
+/// RMSE before each boosting iteration.
+struct OracleFit {
+  std::vector<std::vector<RegressionTree::Node>> trees;
+  std::vector<double> rmse;
+};
+
+/// One oracle tree: every node rebuilds its (sum, count) histograms from its
+/// own rows, then scans (feature, bin) pairs in order for the first strictly
+/// best variance gain. `bins[f][r]` is row r's bin of feature f.
+struct OracleTree {
+  const GBDTConfig& cfg;
+  const FeatureBinner& binner;
+  const std::vector<std::vector<std::uint8_t>>& bins;
+  const QuantizedGradients& grad;
+  std::vector<RegressionTree::Node> nodes;
+
+  std::int32_t build(const std::vector<std::uint32_t>& rows, int depth) {
+    const auto id = static_cast<std::size_t>(nodes.size());
+    nodes.emplace_back();
+    std::int64_t total_q = 0;
+    for (const std::uint32_t r : rows) total_q += grad.q[r];
+    const auto total_cnt = static_cast<std::int64_t>(rows.size());
+    const double s = grad.inv_scale;
+    const auto leaf = [&] {
+      nodes[id].value = (static_cast<double>(total_q) * s) /
+                        (static_cast<double>(total_cnt) + cfg.lambda);
+      return static_cast<std::int32_t>(id);
+    };
+    if (depth >= cfg.max_depth || total_cnt < 2 * cfg.min_samples_leaf) {
+      return leaf();
+    }
+
+    const double total_sum = static_cast<double>(total_q) * s;
+    const double parent =
+        total_sum * total_sum / (static_cast<double>(total_cnt) + cfg.lambda);
+    double best_gain = 0.0;
+    int best_f = -1;
+    int best_b = -1;
+    for (std::size_t f = 0; f < bins.size(); ++f) {
+      const auto n_bins = static_cast<std::size_t>(binner.bins(f));
+      std::vector<std::int64_t> sum(n_bins, 0);
+      std::vector<std::int64_t> cnt(n_bins, 0);
+      for (const std::uint32_t r : rows) {
+        sum[bins[f][r]] += grad.q[r];
+        ++cnt[bins[f][r]];
+      }
+      std::int64_t left_q = 0;
+      std::int64_t left_cnt = 0;
+      for (std::size_t b = 0; b + 1 < n_bins; ++b) {
+        left_q += sum[b];
+        left_cnt += cnt[b];
+        const std::int64_t right_cnt = total_cnt - left_cnt;
+        if (left_cnt < cfg.min_samples_leaf) continue;
+        if (right_cnt < cfg.min_samples_leaf) break;
+        const double ls = static_cast<double>(left_q) * s;
+        const double rs = static_cast<double>(total_q - left_q) * s;
+        const double gain =
+            ls * ls / (static_cast<double>(left_cnt) + cfg.lambda) +
+            rs * rs / (static_cast<double>(right_cnt) + cfg.lambda) - parent;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_f = static_cast<int>(f);
+          best_b = static_cast<int>(b);
+        }
+      }
+    }
+    if (best_f < 0 || best_gain <= 1e-12) return leaf();
+
+    std::vector<std::uint32_t> left_rows;
+    std::vector<std::uint32_t> right_rows;
+    for (const std::uint32_t r : rows) {
+      (bins[static_cast<std::size_t>(best_f)][r] <= best_b ? left_rows
+                                                           : right_rows)
+          .push_back(r);
+    }
+    if (left_rows.empty() || right_rows.empty()) return leaf();
+    nodes[id].feature = best_f;
+    nodes[id].split_bin = best_b;
+    nodes[id].threshold = binner.edge(static_cast<std::size_t>(best_f), best_b);
+    nodes[id].gain = best_gain;
+    const std::int32_t left = build(left_rows, depth + 1);
+    const std::int32_t right = build(right_rows, depth + 1);
+    nodes[id].left = left;
+    nodes[id].right = right;
+    return static_cast<std::int32_t>(id);
   }
-  for (std::size_t t = 0; t < a.tree_count(); ++t) {
-    const auto& na = a.trees()[t].nodes();
-    const auto& nb = b.trees()[t].nodes();
+};
+
+/// From-scratch boosting loop with GBDTRegressor::fit's contract: one Rng
+/// stream draws the row cap, the binner's quantile sample and each tree's
+/// Bernoulli row sample, in that order; each tree fits the quantized
+/// residuals of the sampled rows; every row then walks the new tree on its
+/// raw feature values to update its prediction. It shares only the binner,
+/// the gradient quantizer and the Rng with the library.
+OracleFit oracle_fit(const Dataset& full, const GBDTConfig& cfg) {
+  OracleFit out;
+  Rng rng(cfg.seed);
+  Dataset data(full.features());
+  const bool capped =
+      cfg.max_training_rows > 0 && full.rows() > cfg.max_training_rows;
+  const double keep = static_cast<double>(cfg.max_training_rows) /
+                      static_cast<double>(full.rows());
+  for (std::size_t r = 0; r < full.rows(); ++r) {
+    if (!capped || rng.bernoulli(keep)) data.add_row(full.row(r), full.target(r));
+  }
+  const std::size_t n = data.rows();
+  if (n == 0) return out;
+
+  double base = 0.0;
+  for (std::size_t r = 0; r < n; ++r) base += data.target(r);
+  base /= static_cast<double>(n);
+
+  FeatureBinner binner;
+  binner.fit(data, cfg.max_bins, rng);
+  std::vector<std::vector<std::uint8_t>> bins(data.features(),
+                                              std::vector<std::uint8_t>(n));
+  for (std::size_t f = 0; f < data.features(); ++f) {
+    for (std::size_t r = 0; r < n; ++r) bins[f][r] = binner.bin(f, data.at(r, f));
+  }
+
+  std::vector<double> prediction(n, base);
+  std::vector<double> residuals(n);
+  for (int t = 0; t < cfg.n_trees; ++t) {
+    double sq = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      residuals[r] = data.target(r) - prediction[r];
+      sq += residuals[r] * residuals[r];
+    }
+    out.rmse.push_back(std::sqrt(sq / static_cast<double>(n)));
+    std::vector<std::uint32_t> rows;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (cfg.subsample >= 1.0 || rng.bernoulli(cfg.subsample)) {
+        rows.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    if (rows.size() < static_cast<std::size_t>(2 * cfg.min_samples_leaf) ||
+        rows.empty()) {
+      break;
+    }
+    const QuantizedGradients grad = QuantizedGradients::from(residuals);
+    OracleTree tree{cfg, binner, bins, grad, {}};
+    tree.build(rows, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::size_t i = 0;
+      while (tree.nodes[i].feature >= 0) {
+        const auto& node = tree.nodes[i];
+        const double v = data.at(r, static_cast<std::size_t>(node.feature));
+        i = static_cast<std::size_t>(v <= node.threshold ? node.left : node.right);
+      }
+      prediction[r] += cfg.learning_rate * tree.nodes[i].value;
+    }
+    out.trees.push_back(std::move(tree.nodes));
+  }
+  return out;
+}
+
+/// Fits the library's model and the oracle on the same input and requires
+/// the same trees and the same training-RMSE curve, bit for bit.
+void expect_fit_matches_oracle(const Dataset& data, const GBDTConfig& cfg) {
+  GBDTRegressor model(cfg);
+  model.fit(data);
+  ASSERT_TRUE(model.trained());
+  const OracleFit oracle = oracle_fit(data, cfg);
+  ASSERT_EQ(model.training_rmse().size(), oracle.rmse.size());
+  for (std::size_t i = 0; i < oracle.rmse.size(); ++i) {
+    ASSERT_EQ(model.training_rmse()[i], oracle.rmse[i]) << "rmse @" << i;
+  }
+  ASSERT_EQ(model.tree_count(), oracle.trees.size());
+  for (std::size_t t = 0; t < oracle.trees.size(); ++t) {
+    const auto& na = model.trees()[t].nodes();
+    const auto& nb = oracle.trees[t];
     ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
     for (std::size_t i = 0; i < na.size(); ++i) {
       ASSERT_EQ(na[i].feature, nb[i].feature) << "tree " << t << " node " << i;
@@ -98,6 +265,18 @@ void expect_models_identical(const GBDTRegressor& a, const GBDTRegressor& b) {
   }
 }
 
+/// microbench_ml's GBDT config (BM_GbdtFit), at test size.
+GBDTConfig microbench_config() {
+  GBDTConfig cfg;
+  cfg.n_trees = 20;
+  cfg.max_depth = 6;
+  cfg.learning_rate = 0.12;
+  cfg.min_samples_leaf = 30;
+  cfg.subsample = 0.7;
+  cfg.max_bins = 64;
+  return cfg;
+}
+
 TEST(GbdtEngineParity, BitIdenticalAcrossSeedsAndConfigs) {
   for (const std::uint64_t seed : {11ull, 29ull}) {
     auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"),
@@ -105,7 +284,7 @@ TEST(GbdtEngineParity, BitIdenticalAcrossSeedsAndConfigs) {
     const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
     ASSERT_GT(data.rows(), 1000u);
 
-    GBDTConfig configs[3];
+    GBDTConfig configs[4];
     configs[0].n_trees = 10;
     configs[1].n_trees = 8;
     configs[1].max_depth = 4;
@@ -114,19 +293,47 @@ TEST(GbdtEngineParity, BitIdenticalAcrossSeedsAndConfigs) {
     configs[2].n_trees = 8;
     configs[2].min_samples_leaf = 5;
     configs[2].max_training_rows = data.rows() / 2;
+    configs[3] = microbench_config();
     for (GBDTConfig cfg : configs) {
       cfg.seed = seed;
-      cfg.engine = GBDTEngine::kHistogram;
-      GBDTConfig ref_cfg = cfg;
-      ref_cfg.engine = GBDTEngine::kReference;
-      GBDTRegressor hist_model(cfg);
-      GBDTRegressor ref_model(ref_cfg);
-      hist_model.fit(data);
-      ref_model.fit(data);
-      ASSERT_TRUE(hist_model.trained());
-      expect_models_identical(hist_model, ref_model);
+      expect_fit_matches_oracle(data, cfg);
     }
   }
+}
+
+// microbench_ml's own input: mixed continuous and small-integer features, the
+// shape of the QSSF encoding, 20k rows.
+TEST(GbdtEngineParity, MicrobenchWorkloadMatchesOracle) {
+  Rng rng(7);
+  Dataset data(9);
+  std::vector<double> row(9);
+  for (int r = 0; r < 20'000; ++r) {
+    double y = 0.0;
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      row[f] = (f % 2 == 0) ? rng.uniform(-1.0, 1.0)
+                            : static_cast<double>(rng.uniform_int(0, 12));
+      y += (f % 3 == 0 ? 2.0 : -0.5) * row[f];
+    }
+    data.add_row(row, y + rng.normal(0.0, 0.1));
+  }
+  GBDTConfig cfg = microbench_config();
+  cfg.n_trees = 10;
+  expect_fit_matches_oracle(data, cfg);
+}
+
+// Residuals around 1e-300 saturate the quantization scale (see
+// Gbdt.DenormalTinyTargetsStayFinite); the saturated grid must still split
+// and price leaves exactly as the oracle does.
+TEST(GbdtEngineParity, DenormalGradientsMatchOracle) {
+  Dataset data(1);
+  for (int i = 0; i < 200; ++i) {
+    const double row[] = {static_cast<double>(i % 7)};
+    data.add_row(row, 1e-300 * static_cast<double>(i % 5));
+  }
+  GBDTConfig cfg;
+  cfg.n_trees = 5;
+  cfg.min_samples_leaf = 5;
+  expect_fit_matches_oracle(data, cfg);
 }
 
 TEST(GbdtEngineParity, PredictManyMatchesPerRowBitwise) {
@@ -181,7 +388,7 @@ TEST(SimdParity, PredictManyBitIdenticalToScalar) {
 // unpacked between runs. At scale 0.02 no node crosses a run boundary; here
 // the root holds every row (subsample 1.0), so it spans three runs at pool
 // width 1 and several chunks of two runs each on wider pools.
-TEST(GbdtEngineParity, HistogramRunsMatchReference) {
+TEST(GbdtEngineParity, HistogramRunsMatchOracle) {
   auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 37,
                                             0.25);
   const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
@@ -189,14 +396,7 @@ TEST(GbdtEngineParity, HistogramRunsMatchReference) {
   GBDTConfig cfg;
   cfg.n_trees = 6;
   cfg.subsample = 1.0;
-  GBDTConfig ref_cfg = cfg;
-  ref_cfg.engine = GBDTEngine::kReference;
-  GBDTRegressor hist_model(cfg);
-  GBDTRegressor ref_model(ref_cfg);
-  hist_model.fit(data);
-  ref_model.fit(data);
-  ASSERT_TRUE(hist_model.trained());
-  expect_models_identical(hist_model, ref_model);
+  expect_fit_matches_oracle(data, cfg);
 }
 
 }  // namespace

@@ -147,6 +147,26 @@ TEST(QssfService, RejectsUnusableRollingKnobs) {
   EXPECT_NO_THROW(QssfService{edges});
 }
 
+TEST(QssfService, RejectsWeightsOutsideUnitInterval) {
+  // λ mixes the two estimates and rolling_decay the old and new durations;
+  // outside [0, 1] (or NaN) either prices jobs NaN or unbounded.
+  for (const double bad : {-0.1, std::nan(""), HUGE_VAL, 1.5}) {
+    QssfConfig lambda = fast_config();
+    lambda.lambda = bad;
+    EXPECT_THROW(QssfService{lambda}, std::invalid_argument) << bad;
+    QssfConfig decay = fast_config();
+    decay.rolling_decay = bad;
+    EXPECT_THROW(QssfService{decay}, std::invalid_argument) << bad;
+    EXPECT_THROW(RollingEstimator{decay}, std::invalid_argument) << bad;
+  }
+  for (const double edge : {0.0, 1.0}) {
+    QssfConfig cfg = fast_config();
+    cfg.lambda = edge;
+    cfg.rolling_decay = edge;
+    EXPECT_NO_THROW(QssfService{cfg}) << edge;
+  }
+}
+
 TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {
   // The Model Update Engine hook may be fed cumulative traces; re-observing
   // a job used to double-count the rolling sums and re-decay the name

@@ -73,7 +73,6 @@ void expect_models_identical(const ml::GBDTRegressor& a,
                              const ml::GBDTRegressor& b) {
   ASSERT_EQ(a.tree_count(), b.tree_count());
   ASSERT_EQ(a.training_rmse(), b.training_rmse());
-  ASSERT_EQ(a.feature_importance(), b.feature_importance());
   for (std::size_t t = 0; t < a.tree_count(); ++t) {
     const auto& na = a.trees()[t].nodes();
     const auto& nb = b.trees()[t].nodes();
@@ -108,7 +107,6 @@ TEST(SerializeRoundTrip, GbdtBitIdenticalAcrossSeedsAndConfigs) {
     configs[2].n_trees = 8;
     configs[2].min_samples_leaf = 5;
     configs[2].max_training_rows = data.rows() / 2;
-    configs[2].engine = ml::GBDTEngine::kReference;
     for (ml::GBDTConfig cfg : configs) {
       cfg.seed = seed;
       ml::GBDTRegressor model(cfg);
@@ -123,7 +121,6 @@ TEST(SerializeRoundTrip, GbdtBitIdenticalAcrossSeedsAndConfigs) {
       const auto& c = loaded.config();
       EXPECT_EQ(c.n_trees, cfg.n_trees);
       EXPECT_EQ(c.seed, cfg.seed);
-      EXPECT_EQ(c.engine, cfg.engine);
       EXPECT_EQ(c.max_training_rows, cfg.max_training_rows);
 
       const auto batched = model.predict_many(data);
@@ -564,6 +561,89 @@ TEST(SerializeMalformed, TreesWithoutMatchingBinnerRejected) {
   }
 }
 
+TEST(SerializeMalformed, GbdtEngineIdOneLoadsAsTheOneEngine) {
+  // Byte 72 of the section is the engine id. A stored 1 came from a second
+  // trainer that fit bit-identical trees, so it loads as the one engine; a
+  // value above 1 was never written.
+  const ml::Dataset data = trace_dataset(venus_trace(11));
+  ml::GBDTConfig cfg;
+  cfg.n_trees = 4;
+  ml::GBDTRegressor model(cfg);
+  model.fit(data);
+  serialize::Writer w;
+  model.save(w);
+  std::vector<std::uint8_t> body = w.buffer();
+  ASSERT_EQ(body[72], 0);
+  body[72] = 1;
+  {
+    serialize::Reader r(body);
+    ml::GBDTRegressor loaded;
+    loaded.load(r);
+    expect_models_identical(model, loaded);
+    ASSERT_EQ(model.predict_many(data), loaded.predict_many(data));
+    serialize::Writer again;
+    loaded.save(again);
+    EXPECT_EQ(again.buffer(), w.buffer());  // re-saved as 0
+  }
+  body[72] = 2;
+  serialize::Reader r(body);
+  ml::GBDTRegressor loaded;
+  try {
+    loaded.load(r);
+    FAIL() << "expected kCorrupt";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+  }
+}
+
+TEST(SerializeMalformed, GbdtByteMutationsNeverPriceNonFinite) {
+  // Every byte of a small model's section, set to 0x7F and then to 0xFF:
+  // the load either throws, or the model it adopts predicts finite values
+  // on every row through both predict paths. 0x7F in an f64's top byte
+  // makes it ~1e307 (or NaN), 0xFF makes it negative and huge (or NaN).
+  Rng rng(5);
+  ml::Dataset data(3);
+  std::vector<double> row(3);
+  for (int i = 0; i < 400; ++i) {
+    for (auto& v : row) v = rng.uniform(-2.0, 2.0);
+    data.add_row(row, 5.0 + 2.0 * row[0] - row[1] + rng.normal(0.0, 0.1));
+  }
+  ml::GBDTConfig cfg;
+  cfg.n_trees = 4;
+  cfg.max_depth = 3;
+  cfg.max_bins = 16;
+  cfg.min_samples_leaf = 10;
+  ml::GBDTRegressor model(cfg);
+  model.fit(data);
+  ASSERT_EQ(model.tree_count(), 4u);
+  serialize::Writer w;
+  model.save(w);
+  const std::vector<std::uint8_t>& clean = w.buffer();
+  std::size_t adopted = 0;
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (const std::uint8_t b : {std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+      std::vector<std::uint8_t> body = clean;
+      body[at] = b;
+      serialize::Reader r(body);
+      ml::GBDTRegressor loaded;
+      try {
+        loaded.load(r);
+      } catch (const Error&) {
+        continue;
+      }
+      ++adopted;
+      const std::vector<double> batched = loaded.predict_many(data);
+      for (std::size_t i = 0; i < data.rows(); ++i) {
+        ASSERT_TRUE(std::isfinite(loaded.predict(data.row(i))))
+            << "byte " << at << " = " << int{b} << ", row " << i;
+        ASSERT_TRUE(std::isfinite(batched[i]))
+            << "byte " << at << " = " << int{b} << ", row " << i;
+      }
+    }
+  }
+  EXPECT_GT(adopted, 0u);  // the sweep reaches the predict paths
+}
+
 /// A small but genuinely trained GBDT with an unusual feature width, for
 /// crafting cross-layer width-mismatch payloads.
 ml::GBDTRegressor trained_model(std::size_t n_features) {
@@ -632,12 +712,14 @@ TEST(SerializeMalformed, QssfFeatureWidthMismatchRejected) {
   }
 }
 
-/// Knob values the name matcher cannot run with: a negative, NaN or
-/// out-of-range threshold reaches a double -> size_t conversion, and a zero
-/// name cap makes observe's eviction erase the end of an empty list.
+/// Knob values the rolling estimator cannot run with: a negative, NaN or
+/// out-of-range threshold reaches a double -> size_t conversion, a decay
+/// outside [0, 1] makes the EWMAs negative or unbounded, and a zero name cap
+/// makes observe's eviction erase the end of an empty list.
 struct RollingKnobs {
   double threshold;
   std::uint64_t max_names;
+  double decay = 0.75;
 };
 const std::vector<RollingKnobs>& unusable_knobs() {
   static const std::vector<RollingKnobs> knobs = {
@@ -646,6 +728,10 @@ const std::vector<RollingKnobs>& unusable_knobs() {
       {std::numeric_limits<double>::infinity(), 64},
       {1.5, 64},
       {0.20, 0},
+      {0.20, 64, -0.1},
+      {0.20, 64, std::numeric_limits<double>::quiet_NaN()},
+      {0.20, 64, std::numeric_limits<double>::infinity()},
+      {0.20, 64, 1.5},
   };
   return knobs;
 }
@@ -657,7 +743,7 @@ serialize::Writer rolling_section(const RollingKnobs& knobs) {
   w.u32(1);                 // section version
   w.u8(1);                  // use_names
   w.f64(knobs.threshold);   // name_match_threshold
-  w.f64(0.75);              // rolling_decay
+  w.f64(knobs.decay);       // rolling_decay
   w.u64(knobs.max_names);   // max_names_per_user
   w.f64(0.0);               // global_duration_sum
   w.i64(0);                 // global_jobs
@@ -685,7 +771,7 @@ TEST(SerializeMalformed, RollingKnobsRejected) {
     try {
       rolling.load(r);
       FAIL() << "expected kCorrupt for threshold " << knobs.threshold
-             << " max_names " << knobs.max_names;
+             << " max_names " << knobs.max_names << " decay " << knobs.decay;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
     }
@@ -702,7 +788,7 @@ TEST(SerializeMalformed, QssfKnobsRejected) {
     w.u32(1);                // section version
     w.f64(0.45);             // lambda
     w.f64(knobs.threshold);  // name_match_threshold
-    w.f64(0.75);             // rolling_decay
+    w.f64(knobs.decay);      // rolling_decay
     w.u64(knobs.max_names);  // max_names_per_user
     w.u8(1);                 // use_names
     ml::GBDTRegressor().save(w);
@@ -714,7 +800,27 @@ TEST(SerializeMalformed, QssfKnobsRejected) {
     try {
       svc.load(r);
       FAIL() << "expected kCorrupt for threshold " << knobs.threshold
-             << " max_names " << knobs.max_names;
+             << " max_names " << knobs.max_names << " decay " << knobs.decay;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
+  }
+}
+
+TEST(SerializeMalformed, QssfLambdaOutsideUnitIntervalRejected) {
+  // λ is the f64 at offset 16 of the section (tag, length, version before
+  // it); its top byte is 23. Setting that byte to 0x7F makes λ about 1e307,
+  // and to 0xFF makes it NaN: either prices every job out of range.
+  serialize::Writer w;
+  core::QssfService().save(w);
+  for (const std::uint8_t top : {std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+    std::vector<std::uint8_t> body = w.buffer();
+    body[23] = top;
+    serialize::Reader r(body);
+    core::QssfService svc;
+    try {
+      svc.load(r);
+      FAIL() << "expected kCorrupt for lambda " << svc.config().lambda;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
     }

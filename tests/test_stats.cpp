@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "stats/correlation.h"
-#include "stats/distribution.h"
 #include "stats/ecdf.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
@@ -147,12 +146,6 @@ TEST(Ecdf, InverseRoundTrip) {
   EXPECT_DOUBLE_EQ(e.inverse(1.0), 40.0);
 }
 
-TEST(Ecdf, KsStatisticZeroForIdentical) {
-  std::vector<double> v = {1.0, 5.0, 9.0, 2.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(Ecdf(v), Ecdf(v)), 0.0);
-  EXPECT_GT(ks_statistic(Ecdf({1.0, 2.0}), Ecdf({10.0, 20.0})), 0.9);
-}
-
 TEST(LogSpacePoints, EndpointsAndMonotone) {
   const auto pts = log_space_points(1.0, 1e6, 7);
   ASSERT_EQ(pts.size(), 7u);
@@ -193,12 +186,11 @@ TEST(Metrics, SmapeBounds) {
   EXPECT_DOUBLE_EQ(smape(a, p), 100.0);  // one exact, one maximally wrong
 }
 
-TEST(Metrics, MaeRmseMape) {
+TEST(Metrics, MaeRmse) {
   const std::vector<double> a = {1.0, 2.0, 3.0};
   const std::vector<double> p = {2.0, 2.0, 1.0};
   EXPECT_DOUBLE_EQ(mae(a, p), 1.0);
   EXPECT_NEAR(rmse(a, p), std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_NEAR(mape(a, p), (100.0 + 0.0 + 200.0 / 3.0) / 3.0, 1e-9);
 }
 
 TEST(Metrics, R2PerfectAndMean) {
@@ -225,29 +217,6 @@ TEST(Correlation, SpearmanMonotoneNonlinear) {
   }
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
   EXPECT_LT(pearson(x, y), 0.99);  // pearson penalises nonlinearity
-}
-
-TEST(Distribution, NormalCdfQuantileRoundTrip) {
-  for (double p : {0.01, 0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-6);
-  }
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-9);
-}
-
-TEST(Distribution, LognormalFitRecoversParams) {
-  Rng rng(13);
-  std::vector<double> v;
-  for (int i = 0; i < 100000; ++i) v.push_back(rng.lognormal(2.0, 0.7));
-  const auto fit = fit_lognormal(v);
-  EXPECT_NEAR(fit.mu, 2.0, 0.02);
-  EXPECT_NEAR(fit.sigma, 0.7, 0.02);
-  EXPECT_NEAR(fit.median(), std::exp(2.0), 0.3);
-}
-
-TEST(Distribution, FromMedianMean) {
-  const auto p = lognormal_from_median_mean(206.0, 6652.0);
-  EXPECT_NEAR(p.median(), 206.0, 1e-9);
-  EXPECT_NEAR(p.mean(), 6652.0, 1.0);
 }
 
 }  // namespace
