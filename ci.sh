@@ -42,21 +42,27 @@
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
 #                      sweep the AVX2 forest walk, gather tail pads included
+#   ./ci.sh tsan       separate build-tsan tree (RelWithDebInfo) with
+#                      ThreadSanitizer, running the fast suites (ctest -L
+#                      smoke) at HELIOS_THREADS=2 and then 4, each under
+#                      `timeout`; any report fails the run (no suppression
+#                      file), so the snapshot publication and every pool
+#                      path must be race-free as TSan sees them
 #   ./ci.sh simd       full build + the fast suites twice: once with the
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
 #                      suites must pass bit-identically either way
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
-# simd/threads) or to the microbenchmarks (bench).
+# tsan/simd/threads) or to the microbenchmarks (bench).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|threads|docs|asan|simd) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|threads|docs|asan|simd] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|threads|docs|asan|tsan|simd) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|threads|docs|asan|tsan|simd] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -140,6 +146,27 @@ if [ "$mode" = asan ]; then
   # wins and the scalar walk runs instead.
   export HELIOS_SIMD=1
   exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
+fi
+
+if [ "$mode" = tsan ]; then
+  # Own build tree, like asan. RelWithDebInfo keeps the suites fast enough
+  # under TSan's slowdown while reports still carry source lines. A width-1
+  # pool runs every fork-join inline, so the suites run at widths 2 and 4,
+  # where helpers and query threads really overlap. TSan exits non-zero on
+  # any report; halt_on_error stops at the first one.
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=OFF \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build build-tsan -j "$(nproc)"
+  cd build-tsan
+  export TSAN_OPTIONS="halt_on_error=1"
+  for threads in 2 4; do
+    echo "=== ctest -L smoke under TSan, HELIOS_THREADS=$threads ==="
+    HELIOS_THREADS=$threads timeout 1200 \
+      ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
+  done
+  exit 0
 fi
 
 # Release is the CMake default here, but pin it so benches are always built

@@ -5,7 +5,7 @@
 // feeder thread appends the September job stream to a CSV file in small
 // timed batches; the server tails the file (svc::CsvTailer), folds every
 // event into the online QSSF state, checkpoints on a cadence, and publishes
-// RCU-style snapshots that concurrent query threads price jobs against while
+// immutable snapshots that concurrent query threads price jobs against while
 // ingest is running. The run gates on
 //   (a) the server's full priority log being bit-identical to the batch
 //       OnlinePriorityEvaluator over the same jobs,
@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -158,10 +159,21 @@ int main() {
   std::optional<svc::PredictionServer> server;
   server.emplace(model, train, cfg);
 
-  // Query threads read this atomic, never the server object itself, so the
+  // Query threads read this slot, never the server object itself, so the
   // mid-replay kill (which destroys the server) cannot race them: published
-  // snapshots are immutable and outlive their server.
-  std::atomic<std::shared_ptr<const svc::Snapshot>> snap{server->snapshot()};
+  // snapshots are immutable and outlive their server. A mutex guards the
+  // pointer copy, as in PredictionServer::snapshot().
+  std::mutex snap_mutex;
+  std::shared_ptr<const svc::Snapshot> snap = server->snapshot();
+  const auto current_snapshot = [&] {
+    const std::lock_guard<std::mutex> lock(snap_mutex);
+    return snap;
+  };
+  const auto republish = [&] {
+    std::shared_ptr<const svc::Snapshot> next = server->snapshot();
+    const std::lock_guard<std::mutex> lock(snap_mutex);
+    snap.swap(next);
+  };
   std::atomic<bool> stop{false};
 
   // Query mix: real September job shapes, priced over and over.
@@ -191,7 +203,7 @@ int main() {
       while (!stop.load(std::memory_order_relaxed)) {
         const auto& req = requests[i++ % requests.size()];
         const auto t0 = Clock::now();
-        const auto s = snap.load(std::memory_order_acquire);
+        const auto s = current_snapshot();
         sink += s->query(req).priority;
         lat.push_back(
             std::chrono::duration<double, std::micro>(Clock::now() - t0)
@@ -222,7 +234,7 @@ int main() {
       }
       server->ingest_csv(std::string_view(block).substr(lo, hi - lo));
       lo = hi;
-      snap.store(server->snapshot(), std::memory_order_release);
+      republish();
       if (kill_restore && !killed && server->checkpoints_written() >= 1 &&
           server->gpu_jobs_ingested() < total_gpu_jobs) {
         // Simulated crash: drop the server mid-replay, restore the latest
@@ -236,7 +248,7 @@ int main() {
         server.emplace(core::QssfService{}, train, cfg);
         serialize::load_file(latest, *server);
         tailer.resume_at_data_bytes(server->bytes_ingested());
-        snap.store(server->snapshot(), std::memory_order_release);
+        republish();
         killed = true;
         std::printf(
             "killed at %llu GPU jobs, restored %s (back to %llu)\n",

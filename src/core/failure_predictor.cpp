@@ -3,16 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "serialize/binary.h"
-
 namespace helios::core {
-
-namespace {
-
-constexpr std::uint32_t kPredictorTag = serialize::fourcc("FPRD");
-constexpr std::uint8_t kVersion = 1;
-
-}  // namespace
 
 void FailurePredictor::fit(const trace::ClusterSpec& spec,
                            const sim::FaultPlan& history) {
@@ -52,42 +43,6 @@ std::vector<std::vector<std::int32_t>> FailurePredictor::rank_nodes(
     for (const auto& [r, node] : scored) vc_order.push_back(node);
   }
   return order;
-}
-
-void FailurePredictor::save(serialize::Writer& w) const {
-  w.begin_section(kPredictorTag);
-  w.u8(kVersion);
-  w.i64(config_.dataset.sample_step);
-  w.i64(config_.dataset.horizon);
-  w.i64(config_.dataset.warmup);
-  w.u8(trained() ? 1 : 0);
-  if (trained()) model_.save(w);
-  w.end_section();
-}
-
-void FailurePredictor::load(serialize::Reader& r) {
-  serialize::Reader s = r.section(kPredictorTag);
-  const std::uint8_t version = s.u8();
-  if (version != kVersion) {
-    throw serialize::Error(serialize::ErrorCode::kUnsupportedVersion,
-                           "failure predictor: unsupported version");
-  }
-  // Stage, then commit: a throw below leaves *this untouched.
-  FailurePredictorConfig cfg = config_;
-  cfg.dataset.sample_step = s.i64();
-  cfg.dataset.horizon = s.i64();
-  cfg.dataset.warmup = s.i64();
-  if (cfg.dataset.sample_step <= 0 || cfg.dataset.horizon <= 0 ||
-      cfg.dataset.warmup < 0) {
-    throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                           "failure predictor: invalid dataset config");
-  }
-  ml::GBDTRegressor model;
-  if (s.u8() != 0) model.load(s);
-  s.close("failure predictor");
-  cfg.gbdt = model.config();
-  config_ = std::move(cfg);
-  model_ = std::move(model);
 }
 
 }  // namespace helios::core

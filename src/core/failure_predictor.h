@@ -12,13 +12,12 @@
 //
 // Determinism: fit(), risk(), and rank_nodes() are pure functions of their
 // inputs and the fitted model (the GBDT itself is bit-identical across
-// engines and thread counts); ranking ties break by node id. A predictor
-// restored from save() ("FPRD" frame, docs/FORMATS.md) produces
-// bit-identical risks and rankings (test_fault_injection pins this).
+// thread counts); ranking ties break by node id. The predictor has no file
+// format: it is refit from the observed failure history.
 //
-// Thread-safety: fit()/load() mutate and must be exclusive; the const
-// members are safe to share once training completes. fit() parallelizes on
-// the shared global_pool() via GBDTRegressor::fit.
+// Thread-safety: fit() mutates and must be exclusive; the const members are
+// safe to share once training completes. fit() parallelizes on the shared
+// global_pool() via GBDTRegressor::fit.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +27,6 @@
 #include "ml/gbdt.h"
 #include "sim/fault_plan.h"
 #include "trace/cluster_config.h"
-
-namespace helios::serialize {
-class Reader;
-class Writer;
-}  // namespace helios::serialize
 
 namespace helios::core {
 
@@ -76,13 +70,6 @@ class FailurePredictor {
   [[nodiscard]] const FailurePredictorConfig& config() const noexcept {
     return config_;
   }
-
-  /// Persist / restore ("FPRD" section, docs/FORMATS.md): dataset config +
-  /// the fitted GBDT. load() throws serialize::Error on malformed input and
-  /// leaves no partially-adopted state behind; a round-tripped predictor
-  /// ranks and scores bit-identically.
-  void save(serialize::Writer& w) const;
-  void load(serialize::Reader& r);
 
  private:
   FailurePredictorConfig config_;

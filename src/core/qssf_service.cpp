@@ -325,6 +325,16 @@ void RollingEstimator::load(serialize::Reader& r) {
 // QssfService
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// P_M from the GBDT's log1p(duration) prediction, floored at one second —
+/// the one definition every pricing path shares and load() bounds.
+double ml_duration(double log_duration) {
+  return std::max(1.0, std::expm1(log_duration));
+}
+
+}  // namespace
+
 QssfService::QssfService(QssfConfig config)
     : config_(config),
       model_(config.gbdt),
@@ -428,6 +438,14 @@ void QssfService::load(serialize::Reader& r) {
         "qssf model expects " + std::to_string(model.binner().features()) +
             " features, service encodes " + std::to_string(kFeatureCount));
   }
+  // The GBDT load only bounds predictions to finite values, but expm1
+  // overflows above ~709.8: a P_M of Inf prices jobs Inf, or NaN once λ = 1
+  // multiplies it by zero.
+  if (model.trained() &&
+      !std::isfinite(ml_duration(model.prediction_bound()))) {
+    throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                           "qssf model's duration estimate overflows");
+  }
   cfg.gbdt = model.config();
   ml::NameBucketizer buckets;
   buckets.load(s);
@@ -449,7 +467,7 @@ double QssfService::ml_estimate(const Trace& t, const JobRecord& job) const {
   if (!model_.trained()) return rolling_.estimate(t, job);
   std::vector<double> row;
   encode(t, job, row);
-  return std::max(1.0, std::expm1(model_.predict(row)));
+  return ml_duration(model_.predict(row));
 }
 
 double QssfService::predict_duration(const Trace& t, const JobRecord& job) const {
@@ -493,14 +511,9 @@ double QssfService::predict_duration(const JobQuery& query) const {
   if (model_.trained()) {
     std::vector<double> row;
     encode_frozen(query, row);
-    pm = std::max(1.0, std::expm1(model_.predict(row)));
+    pm = ml_duration(model_.predict(row));
   }
   return config_.lambda * pr + (1.0 - config_.lambda) * pm;
-}
-
-double QssfService::priority(const JobQuery& query) const {
-  return static_cast<double>(std::max(1, static_cast<int>(query.num_gpus))) *
-         predict_duration(query);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +539,7 @@ OnlinePriorityEvaluator::OnlinePriorityEvaluator(QssfService& service,
   std::vector<double> ml_est;
   if (batched) {
     ml_est = service.model().predict_many(service.encode_jobs(eval, gpu));
-    for (double& v : ml_est) v = std::max(1.0, std::expm1(v));
+    for (double& v : ml_est) v = ml_duration(v);
   }
 
   priorities_.reserve(gpu.size());

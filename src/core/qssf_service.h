@@ -201,15 +201,14 @@ class QssfService {
   [[nodiscard]] double ml_estimate(const trace::Trace& t,
                                    const trace::JobRecord& job) const;
 
-  /// Frozen-service variants of predict_duration()/priority() for the
-  /// concurrent query path (svc::PredictionServer snapshots): never mutate —
+  /// Frozen-service variant of predict_duration() for the concurrent query
+  /// path (svc::Snapshot::query scales it to a priority): never mutates —
   /// the job name goes through the const NameBucketizer::lookup(), with an
   /// unseen name mapped to bucket_count(), exactly the id the mutating path
-  /// would mint for it — so any number of threads may call these on a shared
+  /// would mint for it — so any number of threads may call it on a shared
   /// service with no synchronization, and for a name the service has already
-  /// priced once the result is bit-identical to the Trace-based accessors.
+  /// priced once the result is bit-identical to the Trace-based accessor.
   [[nodiscard]] double predict_duration(const JobQuery& query) const;
-  [[nodiscard]] double priority(const JobQuery& query) const;
 
   /// λ-merge of the two estimates scaled to GPU time — the single definition
   /// of Priority() shared by priority() and the evaluator.

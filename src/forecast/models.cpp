@@ -6,8 +6,6 @@
 
 #include "common/thread_pool.h"
 
-#include "serialize/binary.h"
-
 namespace helios::forecast {
 
 // ---------------------------------------------------------------------------
@@ -120,12 +118,7 @@ void ARForecaster::fit(const TimeSeries& history) {
 std::vector<double> ARForecaster::forecast(const TimeSeries& prefix,
                                            int horizon) const {
   const auto p = static_cast<std::size_t>(std::max(1, p_));
-  std::vector<double> v = prefix.values;
-  // Keep the last values needed to difference and recurse.
-  std::vector<double> levels(v.end() - std::min<std::ptrdiff_t>(
-                                           static_cast<std::ptrdiff_t>(v.size()),
-                                           static_cast<std::ptrdiff_t>(p + 4)),
-                             v.end());
+  const std::vector<double>& v = prefix.values;
   std::vector<double> work = v;
   for (int k = 0; k < d_; ++k) work = diff(work);
 
@@ -146,7 +139,6 @@ std::vector<double> ARForecaster::forecast(const TimeSeries& prefix,
     out.push_back(next_level);
     last_level = next_level;
   }
-  (void)levels;
   return out;
 }
 
@@ -238,165 +230,6 @@ std::vector<double> GBDTForecaster::forecast(const TimeSeries& prefix,
     v.push_back(pred);  // recursive: prediction feeds the next step's lags
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Persistence (docs/FORMATS.md)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint32_t kForecasterTag = serialize::fourcc("FCST");
-constexpr std::uint32_t kForecasterVersion = 1;
-constexpr std::uint32_t kSeasonalNaiveTag = serialize::fourcc("SNAV");
-constexpr std::uint32_t kHoltWintersTag = serialize::fourcc("HOLT");
-constexpr std::uint32_t kArTag = serialize::fourcc("ARPD");
-constexpr std::uint32_t kGbdtForecasterTag = serialize::fourcc("GBFC");
-
-}  // namespace
-
-std::uint32_t SeasonalNaiveForecaster::type_tag() const noexcept {
-  return kSeasonalNaiveTag;
-}
-
-void SeasonalNaiveForecaster::save_state(serialize::Writer& w) const {
-  w.i32(period_);
-}
-
-void SeasonalNaiveForecaster::load_state(serialize::Reader& r) {
-  period_ = r.i32();
-}
-
-std::uint32_t HoltWintersForecaster::type_tag() const noexcept {
-  return kHoltWintersTag;
-}
-
-void HoltWintersForecaster::save_state(serialize::Writer& w) const {
-  w.i32(period_);
-  w.f64(alpha_);
-  w.f64(beta_);
-  w.f64(gamma_);
-}
-
-void HoltWintersForecaster::load_state(serialize::Reader& r) {
-  // Stage then commit, so a throw mid-read cannot leave a half-updated model.
-  const int period = r.i32();
-  const double alpha = r.f64();
-  const double beta = r.f64();
-  const double gamma = r.f64();
-  period_ = period;
-  alpha_ = alpha;
-  beta_ = beta;
-  gamma_ = gamma;
-}
-
-std::uint32_t ARForecaster::type_tag() const noexcept { return kArTag; }
-
-void ARForecaster::save_state(serialize::Writer& w) const {
-  w.i32(p_);
-  w.i32(d_);
-  w.f64(lambda_);
-  model_.save(w);
-}
-
-void ARForecaster::load_state(serialize::Reader& r) {
-  // Stage then commit, so a throw (e.g. a corrupt embedded RIDG section)
-  // cannot leave new p/d/lambda paired with the old ridge weights.
-  const int p = r.i32();
-  const int d = r.i32();
-  const double lambda = r.f64();
-  ml::RidgeRegression model;
-  model.load(r);
-  p_ = p;
-  d_ = d;
-  lambda_ = lambda;
-  model_ = std::move(model);
-}
-
-std::uint32_t GBDTForecaster::type_tag() const noexcept {
-  return kGbdtForecasterTag;
-}
-
-void GBDTForecaster::save_state(serialize::Writer& w) const {
-  w.vec_i32(features_.lags);
-  w.vec_i32(features_.rolling_windows);
-  w.u8(features_.calendar ? 1 : 0);
-  model_.save(w);
-}
-
-void GBDTForecaster::load_state(serialize::Reader& r) {
-  LagFeatureConfig features;
-  features.lags = r.vec_i32();
-  features.rolling_windows = r.vec_i32();
-  features.calendar = r.u8() != 0;
-  // build_features indexes lags/windows relative to the current position;
-  // non-positive values would walk before the series.
-  for (const int l : features.lags) {
-    if (l <= 0) {
-      throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                             "non-positive lag " + std::to_string(l));
-    }
-  }
-  for (const int win : features.rolling_windows) {
-    if (win <= 0) {
-      throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                             "non-positive rolling window " +
-                                 std::to_string(win));
-    }
-  }
-  ml::GBDTRegressor model;
-  model.load(r);
-  // build_features emits feature_count() values per row; a trained model
-  // expecting a different width would index past the row. (GBDT load
-  // guarantees binner width == the model's feature count when trained.)
-  if (model.trained() &&
-      model.binner().features() != features.feature_count()) {
-    throw serialize::Error(
-        serialize::ErrorCode::kCorrupt,
-        "forecaster model expects " +
-            std::to_string(model.binner().features()) +
-            " features, lag config builds " +
-            std::to_string(features.feature_count()));
-  }
-  features_ = std::move(features);
-  model_ = std::move(model);
-}
-
-void save_forecaster(serialize::Writer& w, const Forecaster& model) {
-  w.begin_section(kForecasterTag);
-  w.u32(kForecasterVersion);
-  w.u32(model.type_tag());
-  model.save_state(w);
-  w.end_section();
-}
-
-std::unique_ptr<Forecaster> load_forecaster(serialize::Reader& r) {
-  serialize::Reader s = r.section(kForecasterTag);
-  const std::uint32_t version = s.u32();
-  if (version != kForecasterVersion) {
-    throw serialize::Error(
-        serialize::ErrorCode::kUnsupportedVersion,
-        "forecaster section version " + std::to_string(version));
-  }
-  const std::uint32_t tag = s.u32();
-  std::unique_ptr<Forecaster> model;
-  // Placeholder constructor arguments; load_state() restores the real ones.
-  if (tag == kSeasonalNaiveTag) {
-    model = std::make_unique<SeasonalNaiveForecaster>(1);
-  } else if (tag == kHoltWintersTag) {
-    model = std::make_unique<HoltWintersForecaster>(1);
-  } else if (tag == kArTag) {
-    model = std::make_unique<ARForecaster>(1);
-  } else if (tag == kGbdtForecasterTag) {
-    model = std::make_unique<GBDTForecaster>();
-  } else {
-    throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                           "unknown forecaster type tag " +
-                               std::to_string(tag));
-  }
-  model->load_state(s);
-  s.close("forecaster");
-  return model;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,18 +18,16 @@
 // Determinism: fit() is a pure function of (history, constructor
 // parameters) and forecast() of (fitted state, prefix, horizon) — repeated
 // calls with the same inputs return bit-identical values on any thread
-// count, and a model restored via load_forecaster (docs/FORMATS.md, "FCST"
-// frame) forecasts bit-identically to the saved one (test_serialize).
+// count. A forecaster has no file format: core::CesService::fit refits it
+// from the running-node history.
 //
-// Thread-safety: each forecaster is externally synchronized — fit() and
-// load_state() mutate; const forecast() calls may then run concurrently
-// from any number of threads. GBDTForecaster::fit() parallelizes
-// internally on the shared global_pool(); the other models are
-// single-threaded.
+// Thread-safety: each forecaster is externally synchronized — fit()
+// mutates; const forecast() calls may then run concurrently from any number
+// of threads. GBDTForecaster::fit() parallelizes internally on the shared
+// global_pool(); the other models are single-threaded.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,11 +36,6 @@
 #include "forecast/series.h"
 #include "ml/gbdt.h"
 #include "ml/linear.h"
-
-namespace helios::serialize {
-class Reader;
-class Writer;
-}  // namespace helios::serialize
 
 namespace helios::forecast {
 
@@ -59,24 +52,7 @@ class Forecaster {
                                                      int horizon) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Stable fourcc identifying the concrete model inside a persisted "FCST"
-  /// section (see docs/FORMATS.md).
-  [[nodiscard]] virtual std::uint32_t type_tag() const noexcept = 0;
-  /// Persist / restore the full fitted state (constructor parameters
-  /// included); a restored model forecasts bit-identically. load_state()
-  /// throws serialize::Error on malformed input. Prefer the free
-  /// save_forecaster/load_forecaster pair, which adds the type tag.
-  virtual void save_state(serialize::Writer& w) const = 0;
-  virtual void load_state(serialize::Reader& r) = 0;
 };
-
-/// Persist `model` (type tag + state) into a "FCST" section.
-void save_forecaster(serialize::Writer& w, const Forecaster& model);
-
-/// Reconstruct whichever Forecaster the "FCST" section holds; throws
-/// serialize::Error (kCorrupt) for an unknown type tag.
-[[nodiscard]] std::unique_ptr<Forecaster> load_forecaster(serialize::Reader& r);
 
 /// y[t+h] = y[t + h - k*period] for the smallest valid k.
 class SeasonalNaiveForecaster final : public Forecaster {
@@ -86,9 +62,6 @@ class SeasonalNaiveForecaster final : public Forecaster {
   [[nodiscard]] std::vector<double> forecast(const TimeSeries& prefix,
                                              int horizon) const override;
   [[nodiscard]] std::string name() const override { return "seasonal-naive"; }
-  [[nodiscard]] std::uint32_t type_tag() const noexcept override;
-  void save_state(serialize::Writer& w) const override;
-  void load_state(serialize::Reader& r) override;
 
  private:
   int period_;
@@ -107,9 +80,6 @@ class HoltWintersForecaster final : public Forecaster {
   [[nodiscard]] std::vector<double> forecast(const TimeSeries& prefix,
                                              int horizon) const override;
   [[nodiscard]] std::string name() const override { return "holt-winters"; }
-  [[nodiscard]] std::uint32_t type_tag() const noexcept override;
-  void save_state(serialize::Writer& w) const override;
-  void load_state(serialize::Reader& r) override;
 
  private:
   /// Run the smoothing recursion over `v`; returns final level/trend/season.
@@ -137,9 +107,6 @@ class ARForecaster final : public Forecaster {
   [[nodiscard]] std::string name() const override {
     return "ar(" + std::to_string(p_) + ",d=" + std::to_string(d_) + ")";
   }
-  [[nodiscard]] std::uint32_t type_tag() const noexcept override;
-  void save_state(serialize::Writer& w) const override;
-  void load_state(serialize::Reader& r) override;
 
  private:
   int p_;
@@ -170,9 +137,6 @@ class GBDTForecaster final : public Forecaster {
   [[nodiscard]] std::vector<double> forecast(const TimeSeries& prefix,
                                              int horizon) const override;
   [[nodiscard]] std::string name() const override { return "gbdt"; }
-  [[nodiscard]] std::uint32_t type_tag() const noexcept override;
-  void save_state(serialize::Writer& w) const override;
-  void load_state(serialize::Reader& r) override;
 
   [[nodiscard]] static ml::GBDTConfig default_gbdt_config();
   [[nodiscard]] const ml::GBDTRegressor& model() const noexcept { return model_; }

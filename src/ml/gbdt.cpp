@@ -585,6 +585,22 @@ constexpr std::uint32_t kGbdtVersion = 1;
   throw serialize::Error(serialize::ErrorCode::kCorrupt, what);
 }
 
+/// A prediction is base + lr * (one leaf per tree), accumulated in that
+/// order. Rounding is monotone, so the same sum over the magnitudes' worst
+/// case bounds every prediction: when it is finite, so is every prediction.
+double worst_case_prediction(double base, double learning_rate,
+                             std::span<const RegressionTree> trees) noexcept {
+  double bound = std::fabs(base);
+  for (const RegressionTree& t : trees) {
+    double leaf_max = 0.0;
+    for (const auto& n : t.nodes()) {
+      if (n.feature < 0) leaf_max = std::max(leaf_max, std::fabs(n.value));
+    }
+    bound += std::fabs(learning_rate) * leaf_max;
+  }
+  return bound;
+}
+
 }  // namespace
 
 void RegressionTree::save(serialize::Writer& w) const {
@@ -692,6 +708,11 @@ void GBDTRegressor::save(serialize::Writer& w) const {
   w.end_section();
 }
 
+double GBDTRegressor::prediction_bound() const noexcept {
+  return worst_case_prediction(base_prediction_, config_.learning_rate,
+                               trees_);
+}
+
 void GBDTRegressor::load(serialize::Reader& r) {
   serialize::Reader s = r.section(kGbdtTag);
   const std::uint32_t version = s.u32();
@@ -740,18 +761,9 @@ void GBDTRegressor::load(serialize::Reader& r) {
             " covers " + std::to_string(binner.features()) + " of " +
             std::to_string(n_features) + " features");
   }
-  // A prediction is base + lr * (one leaf per tree), accumulated in that
-  // order. Rounding is monotone, so if the sum of the magnitudes' worst case
-  // is finite, every prediction is; otherwise some input prices Inf.
-  double bound = std::fabs(base);
-  for (const RegressionTree& t : trees) {
-    double leaf_max = 0.0;
-    for (const auto& n : t.nodes()) {
-      if (n.feature < 0) leaf_max = std::max(leaf_max, std::fabs(n.value));
-    }
-    bound += std::fabs(cfg.learning_rate) * leaf_max;
+  if (!std::isfinite(worst_case_prediction(base, cfg.learning_rate, trees))) {
+    corrupt("predictions overflow");
   }
-  if (!std::isfinite(bound)) corrupt("predictions overflow");
 
   config_ = cfg;
   base_prediction_ = base;

@@ -192,6 +192,10 @@ class GBDTRegressor {
   [[nodiscard]] const FeatureBinner& binner() const noexcept { return binner_; }
   /// SoA node layout the SIMD predict path walks (rebuilt by fit()/load()).
   [[nodiscard]] const PackedForest& forest() const noexcept { return forest_; }
+  /// Worst-case |predict()| over every input: |base| plus the learning
+  /// rate times each tree's largest leaf magnitude. Every prediction lies
+  /// in [-bound, bound]; load() rejects a model whose bound is not finite.
+  [[nodiscard]] double prediction_bound() const noexcept;
 
   /// Persist the fitted model ("GBDT" section, docs/FORMATS.md): config,
   /// base prediction, binner edges, every tree, and the training-RMSE

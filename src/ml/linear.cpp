@@ -1,8 +1,7 @@
 #include "ml/linear.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "serialize/binary.h"
 
 namespace helios::ml {
 
@@ -80,36 +79,6 @@ void RidgeRegression::fit(const Dataset& data) {
   w_ = xty;
   b_ = mean_y;
   for (std::size_t j = 0; j < p; ++j) b_ -= w_[j] * mean_x[j];
-}
-
-namespace {
-constexpr std::uint32_t kRidgeTag = serialize::fourcc("RIDG");
-constexpr std::uint32_t kRidgeVersion = 1;
-}  // namespace
-
-void RidgeRegression::save(serialize::Writer& w) const {
-  w.begin_section(kRidgeTag);
-  w.u32(kRidgeVersion);
-  w.f64(lambda_);
-  w.vec_f64(w_);
-  w.f64(b_);
-  w.end_section();
-}
-
-void RidgeRegression::load(serialize::Reader& r) {
-  serialize::Reader s = r.section(kRidgeTag);
-  const std::uint32_t version = s.u32();
-  if (version != kRidgeVersion) {
-    throw serialize::Error(serialize::ErrorCode::kUnsupportedVersion,
-                           "ridge section version " + std::to_string(version));
-  }
-  const double lambda = s.f64();
-  std::vector<double> weights = s.vec_f64();
-  const double intercept = s.f64();
-  s.close("ridge");
-  lambda_ = lambda;
-  w_ = std::move(weights);
-  b_ = intercept;
 }
 
 double RidgeRegression::predict(std::span<const double> features) const noexcept {

@@ -25,12 +25,6 @@ class RidgeRegression {
   [[nodiscard]] double intercept() const noexcept { return b_; }
   [[nodiscard]] bool trained() const noexcept { return !w_.empty(); }
 
-  /// Persist / restore the fitted weights ("RIDG" section, docs/FORMATS.md);
-  /// a loaded model predicts bit-identically. load() throws
-  /// serialize::Error on malformed input.
-  void save(serialize::Writer& w) const;
-  void load(serialize::Reader& r);
-
  private:
   double lambda_;
   std::vector<double> w_;

@@ -166,10 +166,7 @@ void write_file(const std::string& path, const Writer& body);
 /// The one spelling for file-level model persistence: persist any model with
 /// a `save(Writer&) const` member as a single-section frame at `path`.
 /// Every serializable type in the library (ml::, core::, svc::) pairs with
-/// load_file below; forecast::Forecaster, being polymorphic, keeps its
-/// save_forecaster/load_forecaster free functions for the in-frame type tag
-/// but a concrete forecaster's state still round-trips through here.
-/// Throws Error(kIo) on filesystem failure.
+/// load_file below. Throws Error(kIo) on filesystem failure.
 template <class T>
 void save_file(const std::string& path, const T& model) {
   Writer w;

@@ -1,11 +1,8 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
-#include <limits>
-#include <string>
 
 #include "common/rng.h"
-#include "serialize/binary.h"
 
 namespace helios::sim {
 
@@ -27,16 +24,12 @@ bool event_before(const NodeFaultEvent& a, const NodeFaultEvent& b) noexcept {
   return a.node < b.node;
 }
 
-constexpr std::uint32_t kFaultPlanTag = serialize::fourcc("FPLN");
-constexpr std::uint32_t kFaultPlanVersion = 1;
-
 }  // namespace
 
 FaultPlan FaultPlan::generate(const trace::ClusterSpec& spec,
                               const FaultPlanConfig& config, UnixTime begin,
                               UnixTime end) {
   FaultPlan plan;
-  plan.config_ = config;
   plan.begin_ = begin;
   plan.end_ = end;
   plan.events_.resize(spec.vcs.size());
@@ -113,7 +106,6 @@ bool FaultPlan::is_flaky(int vc, int node) const noexcept {
 
 FaultPlan FaultPlan::clipped(UnixTime t0, UnixTime t1) const {
   FaultPlan out;
-  out.config_ = config_;
   out.begin_ = std::max(begin_, t0);
   out.end_ = std::min(end_, t1);
   out.flaky_ = flaky_;
@@ -126,98 +118,6 @@ FaultPlan FaultPlan::clipped(UnixTime t0, UnixTime t1) const {
     }
   }
   return out;
-}
-
-void FaultPlan::save(serialize::Writer& w) const {
-  w.begin_section(kFaultPlanTag);
-  w.u32(kFaultPlanVersion);
-  w.f64(config_.mtbf_days);
-  w.f64(config_.flaky_fraction);
-  w.f64(config_.flaky_multiplier);
-  w.i64(config_.mean_downtime);
-  w.i64(config_.min_downtime);
-  w.u64(config_.seed);
-  w.i64(begin_);
-  w.i64(end_);
-  w.u32(static_cast<std::uint32_t>(events_.size()));
-  for (std::size_t vi = 0; vi < events_.size(); ++vi) {
-    w.u64(flaky_[vi].size());
-    for (const char f : flaky_[vi]) w.u8(f != 0 ? 1 : 0);
-    w.u64(events_[vi].size());
-    for (const NodeFaultEvent& e : events_[vi]) {
-      w.i64(e.time);
-      w.i32(e.node);
-      w.u8(e.recovery ? 1 : 0);
-    }
-  }
-  w.end_section();
-}
-
-void FaultPlan::load(serialize::Reader& r) {
-  serialize::Reader s = r.section(kFaultPlanTag);
-  const std::uint32_t version = s.u32();
-  if (version != kFaultPlanVersion) {
-    throw serialize::Error(serialize::ErrorCode::kUnsupportedVersion,
-                           "fault plan section version " +
-                               std::to_string(version));
-  }
-  // Stage into locals so a throw mid-read cannot leave a half-loaded plan.
-  FaultPlanConfig config;
-  config.mtbf_days = s.f64();
-  config.flaky_fraction = s.f64();
-  config.flaky_multiplier = s.f64();
-  config.mean_downtime = s.i64();
-  config.min_downtime = s.i64();
-  config.seed = s.u64();
-  const UnixTime begin = s.i64();
-  const UnixTime end = s.i64();
-  const std::uint32_t n_vcs = s.u32();
-  // Each VC carries at least its two u64 counts: reject a hostile VC count
-  // before it sizes the per-VC vectors.
-  if (n_vcs > s.remaining() / 16) {
-    throw serialize::Error(serialize::ErrorCode::kTruncated,
-                           "fault plan declares " + std::to_string(n_vcs) +
-                               " vcs beyond the remaining payload");
-  }
-  std::vector<std::vector<NodeFaultEvent>> events(n_vcs);
-  std::vector<std::vector<char>> flaky(n_vcs);
-  std::size_t failures = 0;
-  for (std::uint32_t vi = 0; vi < n_vcs; ++vi) {
-    const std::size_t n_nodes = s.length(1);
-    flaky[vi].resize(n_nodes);
-    for (std::size_t ni = 0; ni < n_nodes; ++ni) {
-      flaky[vi][ni] = s.u8() != 0 ? 1 : 0;
-    }
-    const std::size_t n_events = s.length(13);  // i64 + i32 + u8 per event
-    events[vi].reserve(n_events);
-    std::int64_t prev_time = std::numeric_limits<std::int64_t>::min();
-    for (std::size_t ei = 0; ei < n_events; ++ei) {
-      NodeFaultEvent e;
-      e.time = s.i64();
-      e.node = s.i32();
-      e.recovery = s.u8() != 0;
-      if (e.time < prev_time) {
-        throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                               "fault plan events out of order in vc " +
-                                   std::to_string(vi));
-      }
-      prev_time = e.time;
-      if (e.node < 0 || static_cast<std::size_t>(e.node) >= n_nodes) {
-        throw serialize::Error(serialize::ErrorCode::kCorrupt,
-                               "fault plan node " + std::to_string(e.node) +
-                                   " out of range in vc " + std::to_string(vi));
-      }
-      if (!e.recovery) ++failures;
-      events[vi].push_back(e);
-    }
-  }
-  s.close("fault plan");
-  config_ = config;
-  begin_ = begin;
-  end_ = end;
-  events_ = std::move(events);
-  flaky_ = std::move(flaky);
-  failure_count_ = failures;
 }
 
 }  // namespace helios::sim

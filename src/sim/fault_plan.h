@@ -20,6 +20,9 @@
 // Failures whose repair would complete after the plan window never emit a
 // recovery event: the node stays down past the horizon (dead hardware), the
 // common source of jobs still queued when the simulation ends.
+//
+// A plan has no file format: it is regenerated from (spec, config, window),
+// or rebuilt from an explicit event list with from_events().
 #pragma once
 
 #include <cstdint>
@@ -27,11 +30,6 @@
 #include <vector>
 
 #include "trace/cluster_config.h"
-
-namespace helios::serialize {
-class Reader;
-class Writer;
-}  // namespace helios::serialize
 
 namespace helios::sim {
 
@@ -99,7 +97,6 @@ class FaultPlan {
   }
   /// Whether (vc, node) drew the elevated failure rate.
   [[nodiscard]] bool is_flaky(int vc, int node) const noexcept;
-  [[nodiscard]] const FaultPlanConfig& config() const noexcept { return config_; }
   [[nodiscard]] UnixTime window_begin() const noexcept { return begin_; }
   [[nodiscard]] UnixTime window_end() const noexcept { return end_; }
 
@@ -107,19 +104,12 @@ class FaultPlan {
   /// predictor may train on. Window narrows to the intersection.
   [[nodiscard]] FaultPlan clipped(UnixTime t0, UnixTime t1) const;
 
-  /// Persist / restore ("FPLN" section, docs/FORMATS.md). load() validates
-  /// per-VC time ordering and node ranges and throws serialize::Error on
-  /// malformed input; a round-tripped plan compares equal.
-  void save(serialize::Writer& w) const;
-  void load(serialize::Reader& r);
-
   [[nodiscard]] friend bool operator==(const FaultPlan& a, const FaultPlan& b) {
     return a.begin_ == b.begin_ && a.end_ == b.end_ &&
            a.events_ == b.events_ && a.flaky_ == b.flaky_;
   }
 
  private:
-  FaultPlanConfig config_;
   UnixTime begin_ = 0;
   UnixTime end_ = 0;
   std::vector<std::vector<NodeFaultEvent>> events_;  ///< per VC, time-sorted

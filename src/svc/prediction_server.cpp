@@ -58,8 +58,8 @@ core::JobQuery Snapshot::resolve(const QueryRequest& request) const {
 QueryResult Snapshot::query(const QueryRequest& request) const {
   const core::JobQuery q = resolve(request);
   const double duration = service_.predict_duration(q);
-  // Same expression shape as QssfService::priority(JobQuery) — bit-identical
-  // to calling it, without pricing the duration twice.
+  // GPU count times the λ-merged duration: QssfService::combine's
+  // expression, so a job the service has priced gets its ingest priority.
   return {static_cast<double>(std::max(1, static_cast<int>(q.num_gpus))) *
               duration,
           duration};
@@ -78,15 +78,25 @@ PredictionServer::PredictionServer(core::QssfService service,
       context_users_(stream_.users().size()),
       context_vcs_(stream_.vcs().size()),
       context_names_(stream_.names().size()),
-      snapshot_(
-          std::make_unique<std::atomic<std::shared_ptr<const Snapshot>>>()) {
+      snapshot_mutex_(std::make_unique<std::mutex>()) {
   publish();
 }
 
 void PredictionServer::publish() {
-  snapshot_->store(std::make_shared<const Snapshot>(
-                       service_, stream_, rows_ingested_, gpu_jobs_ingested_),
-                   std::memory_order_release);
+  // Build outside the lock; readers wait at most for the pointer swap.
+  // The displaced snapshot is released after unlocking, so its destructor
+  // (a whole QssfService copy) never runs under the mutex either.
+  std::shared_ptr<const Snapshot> next = std::make_shared<const Snapshot>(
+      service_, stream_, rows_ingested_, gpu_jobs_ingested_);
+  {
+    const std::lock_guard<std::mutex> lock(*snapshot_mutex_);
+    snapshot_.swap(next);
+  }
+}
+
+std::shared_ptr<const Snapshot> PredictionServer::snapshot() const {
+  const std::lock_guard<std::mutex> lock(*snapshot_mutex_);
+  return snapshot_;
 }
 
 std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {

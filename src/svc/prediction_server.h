@@ -7,8 +7,10 @@
 // drain the pending-finish core::ReplayQueue, price, log, queue the job's
 // own finish — and on a cadence (a) checkpoints the whole server through
 // serialize::save_file and (b) publishes an immutable Snapshot. Any number
-// of query threads read the current snapshot through one atomic
-// shared_ptr load — RCU-style, no lock, no wait against the ingest side.
+// of query threads take the current snapshot by copying one shared_ptr
+// under a mutex held only for that copy (publish swaps the pointer under
+// the same mutex, after building the snapshot outside it), then query it
+// with no lock at all.
 //
 // Determinism contract (gated by tests/test_svc_server.cpp and the
 // examples/serve_replay driver): fed the same rows in the same order —
@@ -28,9 +30,9 @@
 // QssfService's frozen, never-mutating accessors).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -156,9 +158,7 @@ class PredictionServer {
   void load(serialize::Reader& r);
 
   /// -- query side (any thread) ---------------------------------------------
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const {
-    return snapshot_->load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
 
   /// -- introspection (ingest side) -----------------------------------------
   /// Rows / GPU jobs ingested since construction (context excluded).
@@ -201,9 +201,10 @@ class PredictionServer {
   std::uint64_t gpu_jobs_ingested_ = 0;
   std::uint64_t bytes_ingested_ = 0;
   std::uint64_t checkpoint_seq_ = 0;
-  // unique_ptr: std::atomic is neither movable nor copyable, and the server
+  // unique_ptr: std::mutex is neither movable nor copyable, and the server
   // itself should stay movable.
-  std::unique_ptr<std::atomic<std::shared_ptr<const Snapshot>>> snapshot_;
+  std::unique_ptr<std::mutex> snapshot_mutex_;
+  std::shared_ptr<const Snapshot> snapshot_;  // guarded by *snapshot_mutex_
 };
 
 }  // namespace helios::svc

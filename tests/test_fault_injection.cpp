@@ -1,9 +1,9 @@
-// Fault injection end to end: FaultPlan generation/persistence, ClusterState
+// Fault injection end to end: FaultPlan generation, ClusterState
 // fail/recover bookkeeping, kill/requeue semantics in the event loop
 // (hand-computed timelines for kRestart vs kResume), the scheduler-stats
 // regressions the fault workload exposed (unfinished jobs, apply_schedule on
 // rejected jobs), and the failure predictor (dataset -> GBDT -> node ranking
-// -> placement win, plus save/load bit-parity).
+// -> placement win).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "core/failure_predictor.h"
 #include "ml/failure_dataset.h"
-#include "serialize/binary.h"
 #include "sim/cluster_state.h"
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
@@ -132,90 +131,6 @@ TEST(FaultPlan, ClippedKeepsWindowIntersection) {
   for (const auto& e : clip.vc_events(0)) {
     EXPECT_GE(e.time, 10 * 86400);
     EXPECT_LT(e.time, 50 * 86400);
-  }
-}
-
-TEST(FaultPlan, SaveLoadRoundTripsAndRejectsCorruption) {
-  const auto spec = trace::helios_cluster("Venus");
-  FaultPlanConfig cfg;
-  cfg.mtbf_days = 15.0;
-  cfg.flaky_fraction = 0.1;
-  cfg.seed = 11;
-  const FaultPlan plan = FaultPlan::generate(spec, cfg, 500, 500 + 60 * 86400);
-
-  serialize::Writer w;
-  plan.save(w);
-  const auto file = serialize::frame(w);
-  {
-    const auto body = serialize::unframe(file);
-    serialize::Reader r(body);
-    FaultPlan loaded;
-    loaded.load(r);
-    r.close("fault plan frame");
-    EXPECT_TRUE(plan == loaded);
-    EXPECT_EQ(plan.failure_count(), loaded.failure_count());
-  }
-  {
-    // Flip one payload byte: either the CRC frame or the plan validation
-    // must reject it — never a silently different plan.
-    auto bad = file;
-    bad[bad.size() / 2] ^= 0x40;
-    EXPECT_THROW(
-        {
-          const auto body = serialize::unframe(bad);
-          serialize::Reader r(body);
-          FaultPlan loaded;
-          loaded.load(r);
-        },
-        serialize::Error);
-  }
-}
-
-// A hand-built FPLN section: the plan header, then `n_vcs` and the
-// `vc_bytes` of per-VC payload that follow it.
-std::vector<std::uint8_t> fault_plan_section(std::uint32_t n_vcs,
-                                             std::size_t vc_bytes) {
-  serialize::Writer w;
-  w.begin_section(serialize::fourcc("FPLN"));
-  w.u32(1);  // version
-  w.f64(30.0);
-  w.f64(0.1);
-  w.f64(4.0);
-  w.i64(3600);
-  w.i64(600);
-  w.u64(7);
-  w.i64(0);  // begin
-  w.i64(86400);  // end
-  w.u32(n_vcs);
-  for (std::size_t i = 0; i < vc_bytes; ++i) w.u8(0);
-  w.end_section();
-  return w.buffer();
-}
-
-TEST(FaultPlan, LoadRejectsAHostileVcCountBeforeAllocating) {
-  // 16 zero bytes are one VC with no nodes and no events.
-  {
-    const auto bytes = fault_plan_section(1, 16);
-    serialize::Reader r(bytes);
-    FaultPlan loaded;
-    loaded.load(r);
-    ASSERT_EQ(loaded.vc_count(), 1);
-    EXPECT_TRUE(loaded.vc_events(0).empty());
-  }
-  // Each VC needs at least 16 payload bytes, so a count past remaining / 16
-  // is rejected as truncated — up to 0xFFFFFFFF, which would otherwise size
-  // two vectors of four billion entries each.
-  for (const std::uint32_t n_vcs : {2u, 0xFFFFFFFFu}) {
-    const auto bytes = fault_plan_section(n_vcs, 16);
-    serialize::Reader r(bytes);
-    FaultPlan loaded;
-    try {
-      loaded.load(r);
-      ADD_FAILURE() << "accepted " << n_vcs << " vcs";
-    } catch (const serialize::Error& e) {
-      EXPECT_EQ(e.code(), serialize::ErrorCode::kTruncated) << e.what();
-    }
-    EXPECT_EQ(loaded.vc_count(), 0);  // a failed load leaves the plan empty
   }
 }
 
@@ -490,7 +405,7 @@ core::FailurePredictorConfig small_predictor_config() {
   return cfg;
 }
 
-TEST(FailurePredictor, RanksFlakyNodesLastAndRoundTrips) {
+TEST(FailurePredictor, RanksFlakyNodesLast) {
   const auto spec = one_vc_spec(16);
   FaultPlanConfig fp;
   fp.mtbf_days = 200.0;  // healthy nodes almost never fail...
@@ -532,23 +447,6 @@ TEST(FailurePredictor, RanksFlakyNodesLastAndRoundTrips) {
   ASSERT_GT(flaky_n, 0);
   ASSERT_LT(flaky_n, 16);
   EXPECT_LT(max_healthy, min_flaky);
-
-  // Round trip: bit-identical risks and an identical ranking.
-  serialize::Writer w;
-  predictor.save(w);
-  const auto body = serialize::unframe(serialize::frame(w));
-  serialize::Reader r(body);
-  core::FailurePredictor loaded;
-  loaded.load(r);
-  r.close("failure predictor frame");
-  ASSERT_TRUE(loaded.trained());
-  const ml::NodeFailureHistory history(spec, plan);
-  for (int node = 0; node < 16; ++node) {
-    EXPECT_EQ(predictor.risk(history, 0, node, end),
-              loaded.risk(history, 0, node, end))
-        << "node " << node;
-  }
-  EXPECT_EQ(loaded.rank_nodes(spec, plan, end), order);
 }
 
 TEST(FailurePredictor, UntrainedRanksIdentity) {

@@ -1,29 +1,30 @@
 // Persistence suite (smoke): round-trip parity + malformed-input handling.
 //
-//  * For every persisted model type — GBDTRegressor, RidgeRegression,
-//    NameBucketizer, RollingEstimator, QssfService, and the four forecast::
-//    models — load(save(m)) must predict bit-identically to m, across the
-//    same synthetic seeds/configs the PR 3 parity harness uses
-//    (test_prediction_parity).
+//  * For every persisted model type — GBDTRegressor, NameBucketizer,
+//    RollingEstimator and QssfService — load(save(m)) must predict
+//    bit-identically to m, across the same synthetic seeds/configs the
+//    parity harness (test_prediction_parity) uses.
 //  * Malformed input — truncation at any byte, bad magic, a future format
 //    version, CRC mismatch, wrong section tags, hostile lengths, and
 //    invariant-violating payloads — must throw serialize::Error with the
 //    right ErrorCode, never crash or invoke UB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/qssf_service.h"
-#include "forecast/models.h"
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
 #include "ml/levenshtein.h"
-#include "ml/linear.h"
 #include "serialize/binary.h"
+#include "svc/prediction_server.h"
 #include "trace/synthetic.h"
 
 namespace helios {
@@ -142,24 +143,6 @@ TEST(SerializeRoundTrip, UntrainedGbdt) {
   EXPECT_FALSE(loaded.trained());
   const double probe[3] = {1.0, 2.0, 3.0};
   EXPECT_EQ(model.predict(probe), loaded.predict(probe));
-}
-
-TEST(SerializeRoundTrip, RidgeRegression) {
-  Rng rng(5);
-  ml::Dataset data(4);
-  std::vector<double> row(4);
-  for (int i = 0; i < 500; ++i) {
-    for (auto& v : row) v = rng.uniform(-2.0, 2.0);
-    data.add_row(row, 3.0 * row[0] - row[2] + rng.normal(0.0, 0.05));
-  }
-  ml::RidgeRegression model(1e-2);
-  model.fit(data);
-  ml::RidgeRegression loaded;
-  round_trip([&](serialize::Writer& w) { model.save(w); },
-             [&](serialize::Reader& r) { loaded.load(r); });
-  ASSERT_EQ(model.weights(), loaded.weights());
-  ASSERT_EQ(model.intercept(), loaded.intercept());
-  ASSERT_EQ(model.predict_many(data), loaded.predict_many(data));
 }
 
 TEST(SerializeRoundTrip, NameBucketizerKeepsAssignments) {
@@ -282,46 +265,6 @@ TEST(SerializeRoundTrip, QssfServiceLimitedInfoMode) {
   for (const auto& job : t.jobs()) {
     if (!job.is_gpu_job()) continue;
     ASSERT_EQ(service.priority(t, job), loaded.priority(t, job));
-  }
-}
-
-TEST(SerializeRoundTrip, ForecastersBitIdentical) {
-  // A daily-seasonal series with trend + noise, 10-minute samples.
-  Rng rng(3);
-  forecast::TimeSeries series;
-  series.begin = from_civil(2020, 4, 1);
-  series.step = 600;
-  for (int i = 0; i < 2500; ++i) {
-    const double day = 40.0 * std::sin(2.0 * 3.141592653589793 *
-                                       static_cast<double>(i % 144) / 144.0);
-    series.values.push_back(200.0 + 0.01 * i + day + rng.normal(0.0, 3.0));
-  }
-  const forecast::TimeSeries prefix = series.slice(0, 2000);
-
-  std::vector<std::unique_ptr<forecast::Forecaster>> models;
-  models.push_back(std::make_unique<forecast::SeasonalNaiveForecaster>(144));
-  models.push_back(std::make_unique<forecast::HoltWintersForecaster>(144));
-  models.push_back(std::make_unique<forecast::ARForecaster>(6, 1));
-  {
-    auto gbdt_cfg = forecast::GBDTForecaster::default_gbdt_config();
-    gbdt_cfg.n_trees = 8;
-    models.push_back(std::make_unique<forecast::GBDTForecaster>(
-        forecast::LagFeatureConfig{}, gbdt_cfg));
-  }
-
-  for (const auto& model : models) {
-    model->fit(series);
-    std::unique_ptr<forecast::Forecaster> loaded;
-    round_trip(
-        [&](serialize::Writer& w) { forecast::save_forecaster(w, *model); },
-        [&](serialize::Reader& r) { loaded = forecast::load_forecaster(r); });
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(model->name(), loaded->name());
-    for (const int horizon : {1, 12, 144}) {
-      ASSERT_EQ(model->forecast(prefix, horizon),
-                loaded->forecast(prefix, horizon))
-          << model->name() << " horizon " << horizon;
-    }
   }
 }
 
@@ -827,6 +770,157 @@ TEST(SerializeMalformed, QssfLambdaOutsideUnitIntervalRejected) {
   }
 }
 
+/// A small QSSF training trace: four users, five name templates and four
+/// GPU demands, so the rolling state holds per-user, per-name and per-GPU
+/// entries.
+trace::Trace small_qssf_trace() {
+  trace::ClusterSpec spec;
+  spec.name = "s";
+  spec.vcs = {{"vc0", 4, 8}};
+  spec.nodes = 4;
+  trace::Trace t(spec);
+  for (int i = 0; i < 40; ++i) {
+    t.add(600 * i, 300 + 37 * i, 1 << (i % 4), 8, "u" + std::to_string(i % 4),
+          "vc0", "train_job_v" + std::to_string(i % 5),
+          trace::JobState::kCompleted);
+  }
+  return t;
+}
+
+/// A QSSF fit on small_qssf_trace() with 2 trees. min_samples_leaf is
+/// lowered so that 40 rows split at all; the default 30 leaves no tree.
+core::QssfService small_trained_qssf(const trace::Trace& t, double lambda) {
+  core::QssfConfig cfg;
+  cfg.lambda = lambda;
+  cfg.gbdt.n_trees = 2;
+  cfg.gbdt.min_samples_leaf = 4;
+  core::QssfService service(cfg);
+  service.fit(t);
+  return service;
+}
+
+/// The trace plus jobs that reach the estimator's other branches: an unseen
+/// user, a known user's new name, and a GPU demand never observed.
+trace::Trace probe_trace(trace::Trace t) {
+  const UnixTime at = 600 * 41;
+  t.add(at, 60, 2, 8, "stranger", "vc0", "train_job_v0",
+        trace::JobState::kCompleted);
+  t.add(at, 60, 1, 8, "u1", "vc0", "eval_other_model",
+        trace::JobState::kCompleted);
+  t.add(at, 60, 3, 8, "u2", "vc0", "train_job_v2",
+        trace::JobState::kCompleted);
+  return t;
+}
+
+TEST(SerializeMalformed, QssfDurationEstimateOverflowRejected) {
+  // P_M is expm1 of the GBDT's log-duration, which overflows to Inf above
+  // ~709.8 although the GBDT's own worst case is still finite. With λ = 1
+  // the priority takes 0 * P_M, which is NaN for an Inf P_M, so the QSSF
+  // load refuses a model whose worst-case P_M is not finite.
+  const trace::Trace t = small_qssf_trace();
+  const core::QssfService service = small_trained_qssf(t, /*lambda=*/1.0);
+  ASSERT_EQ(service.model().tree_count(), 2u);
+  serialize::Writer w;
+  service.save(w);
+  // The QSSF header is 49 bytes: tag and length (12), version (4), three f64
+  // knobs, the u64 name cap and the u8 names flag. The GBDT section's engine
+  // byte is its byte 72, and the f64 base prediction follows it.
+  constexpr std::size_t kEngine = 49 + 72;
+  constexpr std::size_t kBase = kEngine + 1;
+  const std::vector<std::uint8_t>& clean = w.buffer();
+  ASSERT_EQ(clean[kEngine], 0);
+  const double base =
+      serialize::Reader(std::span(clean).subspan(kBase, 8)).f64();
+  ASSERT_TRUE(base > 0.0 && base < 20.0) << base;  // a log1p(duration)
+
+  const auto with_base = [&](double patched) {
+    serialize::Writer f64;
+    f64.f64(patched);
+    std::vector<std::uint8_t> body = clean;
+    std::copy(f64.buffer().begin(), f64.buffer().end(), body.begin() + kBase);
+    return body;
+  };
+
+  const trace::Trace probe = probe_trace(t);
+  {
+    const std::vector<std::uint8_t> body = with_base(800.0);
+    serialize::Reader r(body);
+    core::QssfService loaded;
+    try {
+      loaded.load(r);
+      ADD_FAILURE() << "accepted base 800, priority "
+                    << loaded.priority(probe, probe.jobs().front());
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
+  }
+  // expm1(700 + the leaves) is about 1e305: large, finite, and accepted.
+  const std::vector<std::uint8_t> body = with_base(700.0);
+  serialize::Reader r(body);
+  core::QssfService loaded;
+  loaded.load(r);
+  for (const auto& job : probe.jobs()) {
+    ASSERT_TRUE(std::isfinite(loaded.priority(probe, job)))
+        << "job " << job.job_id;
+  }
+}
+
+TEST(SerializeMalformed, QssfByteMutationsNeverPriceNonFinite) {
+  // Every body byte of a small trained QSSF (2 trees), set to 0x7F and then
+  // to 0xFF: the load either throws, or the service it adopts prices every
+  // probe job finite through both query paths, the Trace-based priority()
+  // and a svc::Snapshot's query().
+  const trace::Trace t = small_qssf_trace();
+  const core::QssfService service =
+      small_trained_qssf(t, core::QssfConfig{}.lambda);
+  ASSERT_EQ(service.model().tree_count(), 2u);
+  serialize::Writer w;
+  service.save(w);
+  const std::vector<std::uint8_t>& clean = w.buffer();
+
+  const trace::Trace probe = probe_trace(t);
+  std::vector<svc::QueryRequest> requests;
+  for (const auto& job : probe.jobs()) {
+    svc::QueryRequest req;
+    req.user = probe.user_name(job);
+    req.vc = probe.vc_name(job);
+    req.job_name = probe.job_name(job);
+    req.num_gpus = job.num_gpus;
+    req.num_cpus = job.num_cpus;
+    req.submit_time = job.submit_time;
+    requests.push_back(std::move(req));
+  }
+
+  std::size_t adopted = 0;
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (const std::uint8_t b : {std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+      std::vector<std::uint8_t> body = clean;
+      body[at] = b;
+      serialize::Reader r(body);
+      core::QssfService loaded;
+      try {
+        loaded.load(r);
+      } catch (const Error&) {
+        continue;
+      }
+      ++adopted;
+      const svc::Snapshot snapshot(loaded, probe, 0, 0);
+      for (const svc::QueryRequest& req : requests) {
+        const svc::QueryResult q = snapshot.query(req);
+        ASSERT_TRUE(std::isfinite(q.priority) &&
+                    std::isfinite(q.expected_duration))
+            << "byte " << at << " = " << int{b} << ", query " << req.user
+            << "/" << req.job_name << "/" << req.num_gpus;
+      }
+      for (const auto& job : probe.jobs()) {
+        ASSERT_TRUE(std::isfinite(loaded.priority(probe, job)))
+            << "byte " << at << " = " << int{b} << ", job " << job.job_id;
+      }
+    }
+  }
+  EXPECT_GT(adopted, 0u);  // the sweep reaches the pricing paths
+}
+
 TEST(SerializeMalformed, BucketizerThresholdRejected) {
   // The name bucketizer's matcher has the same double -> size_t conversion.
   for (const double threshold : {-0.1, std::numeric_limits<double>::quiet_NaN(),
@@ -850,37 +944,13 @@ TEST(SerializeMalformed, BucketizerThresholdRejected) {
   }
 }
 
-TEST(SerializeMalformed, ForecasterFeatureWidthMismatchRejected) {
-  // Same class through load_forecaster: a lag config building 1 feature
-  // paired with a model trained on 16.
-  const ml::GBDTRegressor wide = trained_model(16);
-  ASSERT_TRUE(wide.trained());
-  serialize::Writer w;
-  w.begin_section(serialize::fourcc("FCST"));
-  w.u32(1);                             // section version
-  w.u32(serialize::fourcc("GBFC"));     // concrete type tag
-  const std::int32_t lags[1] = {1};
-  w.vec_i32(lags);                      // one lag
-  w.vec_i32({});                        // no rolling windows
-  w.u8(0);                              // calendar off -> feature_count() == 1
-  wide.save(w);
-  w.end_section();
-  serialize::Reader r(w.buffer());
-  try {
-    auto loaded = forecast::load_forecaster(r);
-    FAIL() << "expected kCorrupt, got " << loaded->name();
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCorrupt);
-  }
-}
-
 TEST(SerializeMalformed, TrailingBytesRejected) {
-  ml::RidgeRegression model;
+  ml::GBDTRegressor model;
   serialize::Writer w;
   model.save(w);
   w.u8(0x5a);  // trailing garbage after the section
   serialize::Reader r(w.buffer());
-  ml::RidgeRegression loaded;
+  ml::GBDTRegressor loaded;
   loaded.load(r);  // section itself is fine
   try {
     r.close("test");
