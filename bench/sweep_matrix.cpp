@@ -7,19 +7,23 @@
 //      speedup compares whole pipelines, not just the simulate phase),
 // and gates on
 //   (a) every parallel cell being bit-identical to its serial counterpart
-//       (sweep::results_identical — outcomes, counters, busy series),
+//       (sweep::results_identical — outcome digest, counters, per-VC stats,
+//       busy and power series),
 //   (b) each store having materialized every distinct trace key exactly once
 //       (TraceStore::generations() == unique key count).
 // Exit status is non-zero on any violation. The speedup itself is reported,
 // not gated (single-core CI must pass).
 //
 // Prints the consolidated comparison report and, when HELIOS_SWEEP_OUT is
-// set, writes grid/wall-clock/speedup JSON there (ci.sh bench points it at
-// build/BENCH_sweep.json).
+// set, writes grid/wall-clock/speedup/peak-RSS JSON there (ci.sh bench points
+// it at build/BENCH_sweep.json). peak_rss_mb is the process's getrusage
+// ru_maxrss: both legs' results are alive when it is read.
 //
 // Knobs: HELIOS_SWEEP_SCALE (default HELIOS_SCALE, default 0.25),
 // HELIOS_SWEEP_CLUSTERS (csv, default all six workloads),
 // HELIOS_SWEEP_SEEDS (count, default 2), HELIOS_SWEEP_OUT (JSON path).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -157,6 +161,9 @@ int main() {
   std::printf("%s", sweep::comparison_report(par).c_str());
 
   if (!out_path.empty()) {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
     std::ofstream out(out_path);
     out << "{\n"
         << "  \"bench\": \"scenario_sweep_matrix\",\n"
@@ -173,6 +180,7 @@ int main() {
         << "  \"serial_wall_s\": " << ser_s << ",\n"
         << "  \"speedup\": " << speedup << ",\n"
         << "  \"median_cell_ms\": " << med_cell_ms << ",\n"
+        << "  \"peak_rss_mb\": " << peak_rss_mb << ",\n"
         << "  \"pool_threads\": " << threads << "\n"
         << "}\n";
     std::printf("wrote %s\n", out_path.c_str());

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <functional>
 #include <stdexcept>
@@ -16,6 +17,72 @@ namespace helios::sim {
 
 using trace::JobRecord;
 using trace::Trace;
+
+namespace {
+
+/// The digest behind outcomes_digest and SimResult::outcomes_digest:
+/// MurmurHash3 x64-128's block step over two 64-bit words per block and its
+/// finalizer. The count is the first block; each outcome is three blocks,
+/// with its 32-bit fields packed in pairs.
+class OutcomeHasher {
+ public:
+  explicit OutcomeHasher(std::size_t count) noexcept {
+    block(static_cast<std::uint64_t>(count), 0);
+  }
+
+  void add(const JobOutcome& o) noexcept {
+    block(static_cast<std::uint64_t>(o.trace_index),
+          static_cast<std::uint64_t>(o.submit));
+    block(static_cast<std::uint64_t>(o.start), static_cast<std::uint64_t>(o.end));
+    block(pack(o.gpus, o.kills), pack(o.vc, o.rejected ? 1 : 0));
+  }
+
+  [[nodiscard]] OutcomesDigest finish() noexcept {
+    h1_ += h2_;
+    h2_ += h1_;
+    h1_ = fmix(h1_);
+    h2_ = fmix(h2_);
+    h1_ += h2_;
+    h2_ += h1_;
+    return {h1_, h2_};
+  }
+
+ private:
+  static constexpr std::uint64_t kC1 = 0x87c37b91114253d5ull;
+  static constexpr std::uint64_t kC2 = 0x4cf5ad432745937full;
+
+  static std::uint64_t pack(std::int32_t lo, std::int32_t hi) noexcept {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) |
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32;
+  }
+
+  static std::uint64_t fmix(std::uint64_t k) noexcept {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+  }
+
+  void block(std::uint64_t k1, std::uint64_t k2) noexcept {
+    h1_ ^= std::rotl(k1 * kC1, 31) * kC2;
+    h1_ = (std::rotl(h1_, 27) + h2_) * 5 + 0x52dce729;
+    h2_ ^= std::rotl(k2 * kC2, 33) * kC1;
+    h2_ = (std::rotl(h2_, 31) + h1_) * 5 + 0x38495ab5;
+  }
+
+  std::uint64_t h1_ = 0;
+  std::uint64_t h2_ = 0;
+};
+
+}  // namespace
+
+OutcomesDigest outcomes_digest(std::span<const JobOutcome> outcomes) noexcept {
+  OutcomeHasher h(outcomes.size());
+  for (const JobOutcome& o : outcomes) h.add(o);
+  return h.finish();
+}
 
 std::string_view to_string(SchedulerPolicy p) noexcept {
   switch (p) {
@@ -190,7 +257,7 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   // ---- metrics ----------------------------------------------------------
   // Only means and counts are reported; plain integer sums are exact (JCTs
   // and delays are whole seconds) and avoid a streaming-moments division per
-  // job.
+  // job. The same pass feeds every outcome into the digest.
   struct MeanAcc {
     std::int64_t sum = 0;
     std::int64_t count = 0;
@@ -204,7 +271,9 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   MeanAcc delay;
   std::vector<MeanAcc> vc_delay(n_vcs);
   std::vector<MeanAcc> vc_jct(n_vcs);
+  OutcomeHasher digest(result.outcomes.size());
   for (const auto& o : result.outcomes) {
+    digest.add(o);
     if (o.rejected) continue;
     if (o.start == trace::kNeverStarted || o.end == trace::kNeverStarted) {
       // Never started inside the horizon (or killed by a failure and never
@@ -229,6 +298,7 @@ SimResult ClusterSimulator::run(const Trace& t) const {
       ++vj.count;
     }
   }
+  result.outcomes_digest = digest.finish();
   result.avg_jct = jct.mean();
   result.avg_queue_delay = delay.mean();
   result.vc_stats.reserve(n_vcs);

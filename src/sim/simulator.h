@@ -27,8 +27,14 @@
 //
 // Only GPU jobs are simulated; the paper does the same ("GPU resources are
 // the bottleneck in our clusters").
+//
+// Every SimResult carries a 128-bit digest of its per-job outcomes, so a
+// caller that keeps only aggregates (the sweep engine drops each cell's
+// outcomes) can still prove two runs scheduled every job identically.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -172,6 +178,18 @@ struct JobOutcome {
   [[nodiscard]] std::int64_t jct() const noexcept { return end - submit; }
 };
 
+/// 128-bit digest of a run's outcomes (outcomes_digest below).
+using OutcomesDigest = std::array<std::uint64_t, 2>;
+
+/// Digest of `outcomes`: their count, then every field of every outcome in
+/// order, each as a fixed-width integer (never the struct's bytes, whose
+/// padding is indeterminate). Any changed, dropped, added or reordered
+/// outcome changes it with overwhelming probability. The mixing is
+/// MurmurHash3 x64-128's; it detects accidental divergence and is not
+/// meant to withstand a crafted collision.
+[[nodiscard]] OutcomesDigest outcomes_digest(
+    std::span<const JobOutcome> outcomes) noexcept;
+
 struct VCStat {
   std::string name;
   int gpus = 0;
@@ -186,6 +204,9 @@ struct VCStat {
 
 struct SimResult {
   std::vector<JobOutcome> outcomes;  ///< GPU jobs, in input order
+  /// outcomes_digest(outcomes) as run() returned them. It stays valid when a
+  /// caller frees `outcomes` to keep only the aggregates.
+  OutcomesDigest outcomes_digest{};
   double avg_jct = 0.0;
   double avg_queue_delay = 0.0;
   std::int64_t queued_jobs = 0;
@@ -219,10 +240,11 @@ struct SimResult {
 
 /// Trace-driven simulator over all VCs of a cluster. VCs are dedicated and
 /// non-shared, so the event loop is sharded per VC (see vc_simulator.h) and
-/// shards run concurrently under common::ExecMode::kParallel; outcomes,
-/// counters, and busy series merge deterministically, bit-identical to
-/// kSerial. A PowerController adds tick barriers but keeps the contract: the
-/// shards are independent between ticks and every tick runs serially.
+/// shards run concurrently under common::ExecMode::kParallel; outcomes (and
+/// so their digest), counters, and busy series merge deterministically,
+/// bit-identical to kSerial. A PowerController adds tick barriers but keeps
+/// the contract: the shards are independent between ticks and every tick
+/// runs serially.
 class ClusterSimulator {
  public:
   ClusterSimulator(trace::ClusterSpec spec, SimConfig config);

@@ -60,17 +60,8 @@ std::size_t SweepGrid::cell_count() const noexcept {
 
 bool results_identical(const sim::SimResult& a,
                        const sim::SimResult& b) noexcept {
-  if (a.outcomes.size() != b.outcomes.size()) return false;
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const sim::JobOutcome& x = a.outcomes[i];
-    const sim::JobOutcome& y = b.outcomes[i];
-    if (x.trace_index != y.trace_index || x.submit != y.submit ||
-        x.start != y.start || x.end != y.end || x.gpus != y.gpus ||
-        x.kills != y.kills || x.vc != y.vc || x.rejected != y.rejected) {
-      return false;
-    }
-  }
-  if (a.avg_jct != b.avg_jct || a.avg_queue_delay != b.avg_queue_delay ||
+  if (a.outcomes_digest != b.outcomes_digest || a.avg_jct != b.avg_jct ||
+      a.avg_queue_delay != b.avg_queue_delay ||
       a.queued_jobs != b.queued_jobs || a.preemptions != b.preemptions ||
       a.rejected_jobs != b.rejected_jobs ||
       a.unfinished_jobs != b.unfinished_jobs || a.job_kills != b.job_kills ||

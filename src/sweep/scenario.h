@@ -7,7 +7,8 @@
 // engine (scenario_engine.h) materializes each distinct workload exactly once
 // through sweep::TraceStore and runs the cells as a task graph; the cell's
 // SimResult is bit-identical to a standalone run with the same spec, config,
-// and trace (pinned by tests/test_sweep.cpp).
+// and trace, except that the cell keeps only the digest of its per-job
+// outcomes (pinned by tests/test_sweep.cpp).
 #pragma once
 
 #include <cstdint>
@@ -93,7 +94,10 @@ struct SweepGrid {
 };
 
 /// One finished cell. wall_ms is informational (scheduling-dependent); the
-/// SimResult is the deterministic payload.
+/// SimResult is the deterministic payload. The engine frees its per-job
+/// `outcomes` as soon as the cell finishes and keeps their digest: the
+/// report reads only aggregates, and a grid's outcomes would dominate its
+/// memory. Callers that need per-job outcomes run ClusterSimulator directly.
 struct CellResult {
   ScenarioSpec spec;
   sim::SimResult result;
@@ -108,10 +112,12 @@ struct SweepResult {
 };
 
 /// Exact (bitwise, not approximate) equality of two simulation results —
-/// outcomes, counters, per-VC stats (energy included), busy and powered-node
-/// series, and the energy/power outputs (cumulative joules, max watts, mean
-/// and peak power series). The parity gates of the sweep drivers and tests
-/// compare through this.
+/// the outcomes through their 128-bit digest (so an engine cell, which holds
+/// none, compares with a standalone run, which holds them all), counters,
+/// per-VC stats (energy included), busy and powered-node series, and the
+/// energy/power outputs (cumulative joules, max watts, mean and peak power
+/// series). The parity gates of the sweep drivers and tests compare through
+/// this.
 [[nodiscard]] bool results_identical(const sim::SimResult& a,
                                      const sim::SimResult& b) noexcept;
 

@@ -136,9 +136,12 @@ SweepResult ScenarioEngine::run(const std::vector<ScenarioSpec>& cells) const {
     tasks.push_back([&, i] {
       const trace::Trace& t = *traces.at(cells[i].workload.key);
       const auto t0 = std::chrono::steady_clock::now();
-      sweep.cells[i].result =
-          sim::ClusterSimulator(t.cluster(), configs[i]).run(t);
+      sim::SimResult& result = sweep.cells[i].result;
+      result = sim::ClusterSimulator(t.cluster(), configs[i]).run(t);
       sweep.cells[i].wall_ms = elapsed_ms(t0);
+      // The digest stands in for the outcomes. Swapping (not clear()) frees
+      // their storage now, so only the cells still running hold outcomes.
+      std::vector<sim::JobOutcome>().swap(result.outcomes);
     });
   }
   if (parallel) {

@@ -8,7 +8,10 @@
 //             generated exactly once and shared immutably (shared_ptr<const
 //             Trace>) across all cells that replay it.
 //   level 1 — cells: each cell runs ClusterSimulator::run over its shared
-//             trace into a preassigned result slot. Cells fan out through
+//             trace into a preassigned result slot and frees the result's
+//             per-job outcomes before the task ends, keeping their digest
+//             (sim::SimResult::outcomes_digest): at most one cell per
+//             running task holds outcomes at a time. Cells fan out through
 //             parallel_run_tasks and each cell's simulator shards per VC
 //             through the same primitive, giving two-level (cell × VC)
 //             sharding. Trace generation and the simulator nest further
@@ -22,7 +25,8 @@
 // cell order before the fan-out. kSerial additionally threads kSerial into
 // every cell's SimConfig, so a serial engine run is the literal
 // one-cluster-at-a-time reference loop. tests/test_sweep.cpp pins cell ≡
-// standalone-run bit-parity and engine parallel ≡ serial across the grid.
+// standalone-run bit-parity (outcomes through their digest) and engine
+// parallel ≡ serial across the grid.
 #pragma once
 
 #include <functional>

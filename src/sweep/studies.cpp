@@ -1,10 +1,12 @@
 #include "sweep/studies.h"
 
+#include <functional>
+#include <iterator>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "core/qssf_service.h"
 #include "forecast/models.h"
-#include "sweep/scenario_engine.h"
 
 namespace helios::sweep {
 
@@ -20,34 +22,27 @@ SchedulerStudy run_scheduler_study(const trace::Trace& full, UnixTime train_end,
   study.qssf_predicted_gpu_time = evaluator.predicted_gpu_time();
   study.qssf_actual_gpu_time = evaluator.actual_gpu_time();
 
-  // Four cells over one shared evaluation slice: the study is a sweep with a
-  // single custom workload and the policy axis.
-  TraceStore store;
-  TraceKey key;
-  key.family = TraceFamily::kCustom;
-  key.name = full.cluster().name + ".eval";
-  store.put(key, study.eval);
-
-  EngineConfig cfg;
-  cfg.priority_provider = [&evaluator](const ScenarioSpec&,
-                                       const trace::Trace&) {
-    return evaluator.as_priority_fn();
-  };
-  const ScenarioEngine engine(store, std::move(cfg));
-
-  std::vector<ScenarioSpec> cells(4);
-  const sim::SchedulerPolicy policies[] = {
-      sim::SchedulerPolicy::kFifo, sim::SchedulerPolicy::kSjf,
-      sim::SchedulerPolicy::kSrtf, sim::SchedulerPolicy::kQssf};
-  for (std::size_t i = 0; i < 4; ++i) {
-    cells[i].workload = {full.cluster().name, key};
-    cells[i].policy = policies[i];
+  // The four policy runs share the evaluation slice and keep their per-job
+  // outcomes (Table 4 and the Fig. 11–13 CDFs read them), so they run as
+  // plain simulator tasks, not as sweep-engine cells.
+  const std::pair<sim::SchedulerPolicy, sim::SimResult*> runs[] = {
+      {sim::SchedulerPolicy::kFifo, &study.fifo},
+      {sim::SchedulerPolicy::kSjf, &study.sjf},
+      {sim::SchedulerPolicy::kSrtf, &study.srtf},
+      {sim::SchedulerPolicy::kQssf, &study.qssf}};
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(std::size(runs));
+  for (const auto& [policy, slot] : runs) {
+    sim::SimConfig cfg;
+    cfg.policy = policy;
+    if (policy == sim::SchedulerPolicy::kQssf) {
+      cfg.priority_fn = evaluator.as_priority_fn();
+    }
+    tasks.push_back([&eval = study.eval, cfg = std::move(cfg), slot = slot] {
+      *slot = sim::ClusterSimulator(eval.cluster(), cfg).run(eval);
+    });
   }
-  SweepResult sweep = engine.run(cells);
-  study.fifo = std::move(sweep.cells[0].result);
-  study.sjf = std::move(sweep.cells[1].result);
-  study.srtf = std::move(sweep.cells[2].result);
-  study.qssf = std::move(sweep.cells[3].result);
+  parallel_run_tasks(std::move(tasks));
   return study;
 }
 

@@ -17,11 +17,12 @@ namespace helios::sweep {
 
 /// One scheduler-comparison experiment (§4.2.3 protocol): train QSSF on
 /// [trace begin, train_end), evaluate all four policies on GPU jobs
-/// submitted in [train_end, eval_end). The four policy runs execute as one
-/// ScenarioEngine grid over the shared evaluation slice (the QSSF cell's
-/// priority function is the trained evaluator), so the study is itself a
-/// four-cell sweep; each cell is bit-identical to a standalone
-/// ClusterSimulator::run.
+/// submitted in [train_end, eval_end). The four policy runs are four
+/// ClusterSimulator::run tasks on the pool over the one evaluation slice
+/// (QSSF's priority function is the trained evaluator). They do not go
+/// through the ScenarioEngine, whose cells drop their per-job outcomes:
+/// Table 4 and the Fig. 11–13 CDFs read them. Each result is bit-identical
+/// to a standalone run at any pool width.
 struct SchedulerStudy {
   trace::Trace eval;  ///< evaluation window slice (GPU + CPU jobs)
   sim::SimResult fifo;

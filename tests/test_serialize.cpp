@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -317,10 +318,16 @@ const std::vector<std::uint8_t>& sample_frame() {
             "vc0", "train_job_v" + std::to_string(i % 7),
             trace::JobState::kCompleted);
     }
+    // The default min_samples_leaf of 30 leaves 50 jobs without a split, and
+    // an untrained model saves no TREE or BINR section to corrupt.
     core::QssfConfig cfg;
     cfg.gbdt.n_trees = 3;
+    cfg.gbdt.min_samples_leaf = 4;
     core::QssfService service(cfg);
     service.fit(t);
+    if (service.model().tree_count() == 0) {
+      throw std::logic_error("sample_frame: the QSSF fixture trained no tree");
+    }
     serialize::Writer w;
     service.save(w);
     return serialize::frame(w);

@@ -5,15 +5,18 @@
 // outcomes, counters, per-VC stats, the busy-nodes/GPUs series, and the
 // energy accounting (cumulative joules, per-VC energy, mean/peak power
 // series) — is *identical* (exact doubles, not approximately equal) to the
-// retained serial reference (common::ExecMode::kSerial) across all six
+// retained serial reference (common::ExecMode::kSerial) across all four
 // policies, backfill on/off, power caps on/off, and several synthetic-trace
-// seeds.
+// seeds. It also checks that sim::outcomes_digest changes with every field
+// of every outcome.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -49,6 +52,7 @@ void expect_identical(const SimResult& serial, const SimResult& sharded) {
     ASSERT_EQ(a.kills, b.kills) << "outcome " << i;
     ASSERT_EQ(a.rejected, b.rejected) << "outcome " << i;
   }
+  EXPECT_EQ(serial.outcomes_digest, sharded.outcomes_digest);
   // Scalar metrics: exact equality — both paths fold the same integers in
   // the same order.
   EXPECT_EQ(serial.avg_jct, sharded.avg_jct);
@@ -665,6 +669,55 @@ TEST(ShardedDeterminism, TinyCrossVcTrace) {
     const SimResult sharded = ClusterSimulator(s, cfg).run(t);
     expect_identical(serial, sharded);
   }
+}
+
+// The outcome digest stands in for the outcomes wherever a caller drops them
+// (sweep-engine cells), so it must see every field of every outcome. The
+// field-by-field comparison in expect_identical above is the bitwise proof
+// behind it.
+TEST(OutcomesDigest, SeesEveryFieldOfEveryOutcome) {
+  SimConfig cfg;
+  cfg.policy = SchedulerPolicy::kSjf;
+  const SimResult r = ClusterSimulator(venus_trace(42).cluster(), cfg)
+                          .run(venus_trace(42));
+  const std::vector<JobOutcome>& base = r.outcomes;
+  ASSERT_GE(base.size(), 3u);
+  EXPECT_EQ(r.outcomes_digest, outcomes_digest(base));
+  const std::vector<JobOutcome> copy = base;
+  EXPECT_EQ(outcomes_digest(copy), r.outcomes_digest);
+
+  using Mutation = void (*)(JobOutcome&);
+  const std::pair<const char*, Mutation> mutations[] = {
+      {"trace_index", [](JobOutcome& o) { ++o.trace_index; }},
+      {"submit", [](JobOutcome& o) { ++o.submit; }},
+      {"start", [](JobOutcome& o) { ++o.start; }},
+      {"end", [](JobOutcome& o) { ++o.end; }},
+      {"gpus", [](JobOutcome& o) { ++o.gpus; }},
+      {"kills", [](JobOutcome& o) { ++o.kills; }},
+      {"vc", [](JobOutcome& o) { ++o.vc; }},
+      {"rejected", [](JobOutcome& o) { o.rejected = !o.rejected; }},
+  };
+  for (const std::size_t at : {std::size_t{0}, base.size() / 2, base.size() - 1}) {
+    for (const auto& [field, mutate] : mutations) {
+      std::vector<JobOutcome> changed = base;
+      mutate(changed[at]);
+      EXPECT_NE(outcomes_digest(changed), r.outcomes_digest)
+          << field << " of outcome " << at;
+    }
+  }
+
+  std::vector<JobOutcome> dropped = base;
+  dropped.pop_back();
+  EXPECT_NE(outcomes_digest(dropped), r.outcomes_digest);
+  dropped = base;
+  dropped.erase(dropped.begin());
+  EXPECT_NE(outcomes_digest(dropped), r.outcomes_digest);
+  std::vector<JobOutcome> appended = base;
+  appended.push_back(base.back());
+  EXPECT_NE(outcomes_digest(appended), r.outcomes_digest);
+  std::vector<JobOutcome> swapped = base;
+  std::swap(swapped.front(), swapped.back());
+  EXPECT_NE(outcomes_digest(swapped), r.outcomes_digest);
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 //     backfill, and fault injection;
 //   * repeat-run stability — rerunning a grid on the same store reproduces
 //     every cell without regenerating any trace;
+//   * engine cells free their per-job outcomes and keep the digest of a
+//     standalone run's outcomes;
+//   * run_scheduler_study's four policy runs equal standalone runs, per-job
+//     outcomes included;
 //   * TraceStore generates each distinct key exactly once and shares the
 //     materialized trace by pointer;
 //   * the Alibaba-PAI workload family hits its calibration marginals (short
@@ -16,10 +20,14 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "common/civil_time.h"
+#include "core/qssf_service.h"
 #include "stats/summary.h"
 #include "sweep/scenario_engine.h"
+#include "sweep/studies.h"
 #include "trace/synthetic.h"
 
 namespace helios::sweep {
@@ -95,6 +103,14 @@ TEST(ScenarioEngine, CellsMatchStandaloneRuns) {
     const sim::SimResult standalone =
         sim::ClusterSimulator(t->cluster(), cfg).run(*t);
     EXPECT_TRUE(results_identical(cell.result, standalone))
+        << cell.spec.label();
+    // The cell freed its outcomes and kept their digest, which is the digest
+    // of the standalone run's full outcome vector.
+    EXPECT_TRUE(cell.result.outcomes.empty()) << cell.spec.label();
+    EXPECT_EQ(cell.result.outcomes.capacity(), 0u) << cell.spec.label();
+    ASSERT_FALSE(standalone.outcomes.empty()) << cell.spec.label();
+    EXPECT_EQ(cell.result.outcomes_digest,
+              sim::outcomes_digest(standalone.outcomes))
         << cell.spec.label();
   }
 }
@@ -264,6 +280,57 @@ TEST(TraceStore, PutRegistersCustomTraces) {
   // First registration wins; a second put returns the existing trace.
   trace::Trace other(trace::helios_cluster("Earth"));
   EXPECT_EQ(store.put(key, std::move(other)).get(), put.get());
+}
+
+// ---- scheduler study -------------------------------------------------------
+
+void expect_same_outcomes(const sim::SimResult& a, const sim::SimResult& b) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const sim::JobOutcome& x = a.outcomes[i];
+    const sim::JobOutcome& y = b.outcomes[i];
+    ASSERT_TRUE(x.trace_index == y.trace_index && x.submit == y.submit &&
+                x.start == y.start && x.end == y.end && x.gpus == y.gpus &&
+                x.kills == y.kills && x.vc == y.vc && x.rejected == y.rejected)
+        << "outcome " << i;
+  }
+}
+
+// run_scheduler_study runs its four policies as pool tasks and keeps their
+// outcomes: each must equal a standalone run over the evaluation slice, bit
+// for bit. ctest also runs this at HELIOS_THREADS=1 and =2.
+TEST(SchedulerStudy, PolicyRunsMatchStandaloneRuns) {
+  const trace::Trace full = trace::SyntheticTraceGenerator(
+                                trace::GeneratorConfig::helios(
+                                    trace::helios_cluster("Venus"), 42, kScale))
+                                .generate();
+  const UnixTime train_end = helios::from_civil(2020, 9, 1);
+  const UnixTime eval_end = trace::helios_trace_end();
+  const SchedulerStudy study = run_scheduler_study(full, train_end, eval_end);
+  ASSERT_TRUE(study.eval.contents_equal(full.between(train_end, eval_end)));
+
+  // The same fit over the same slice prices the same QSSF priorities.
+  core::QssfService service;
+  service.fit(full.between(0, train_end));
+  core::OnlinePriorityEvaluator evaluator(service, study.eval);
+
+  const std::pair<sim::SchedulerPolicy, const sim::SimResult*> runs[] = {
+      {sim::SchedulerPolicy::kFifo, &study.fifo},
+      {sim::SchedulerPolicy::kSjf, &study.sjf},
+      {sim::SchedulerPolicy::kSrtf, &study.srtf},
+      {sim::SchedulerPolicy::kQssf, &study.qssf}};
+  for (const auto& [policy, got] : runs) {
+    sim::SimConfig cfg;
+    cfg.policy = policy;
+    if (policy == sim::SchedulerPolicy::kQssf) {
+      cfg.priority_fn = evaluator.as_priority_fn();
+    }
+    const sim::SimResult standalone =
+        sim::ClusterSimulator(study.eval.cluster(), cfg).run(study.eval);
+    ASSERT_GT(standalone.outcomes.size(), 100u) << to_string(policy);
+    EXPECT_TRUE(results_identical(*got, standalone)) << to_string(policy);
+    expect_same_outcomes(*got, standalone);
+  }
 }
 
 // ---- Alibaba-PAI workload family -------------------------------------------
