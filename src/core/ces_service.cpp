@@ -200,15 +200,6 @@ void CesService::fit(const forecast::TimeSeries& running_nodes_history) {
   model_->fit(running_nodes_history);
 }
 
-void CesService::update(const Trace& new_data) {
-  // Re-derive the running-nodes series by operating the new data under FIFO
-  // and re-fit the forecaster.
-  Trace copy = new_data;
-  copy.sort_by_submit_time();
-  const auto r = sim::operate_fifo(copy, config_.series_step);
-  fit(r.busy_nodes);
-}
-
 CesResult CesService::replay(const Trace& eval_full,
                              const forecast::TimeSeries& history, UnixTime begin,
                              UnixTime end) const {

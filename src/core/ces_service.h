@@ -117,9 +117,6 @@ class CesService {
   /// FIFO-operated April-August trace).
   void fit(const forecast::TimeSeries& running_nodes_history);
 
-  /// Model Update Engine hook (re-fits from the operated trace's series).
-  void update(const trace::Trace& new_data);
-
   /// Replay `eval` (GPU jobs inside [begin, end), FIFO order) under
   /// Algorithm 2. `history` is the observed running-nodes series preceding
   /// `begin`; it seeds the forecaster's lags and keeps extending as the

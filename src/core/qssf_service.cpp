@@ -92,27 +92,8 @@ const RollingEstimator::NameEntry* RollingEstimator::find_name(
   return best;
 }
 
-std::uint64_t RollingEstimator::dedupe_key(const JobRecord& job) noexcept {
-  // Keyed on job identity *content* (id + submit + duration + demand +
-  // user), not the id alone — independently built traces restart ids at 0,
-  // and an id collision across lineages must not silently drop a genuinely
-  // new observation.
-  std::uint64_t key = job.job_id;
-  key = (key ^ static_cast<std::uint64_t>(job.submit_time)) * 0x9e3779b97f4a7c15ULL;
-  key = (key ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(job.duration))
-                 << 32) |
-                ((static_cast<std::uint64_t>(job.user) << 8) ^
-                 static_cast<std::uint32_t>(job.num_gpus)))) *
-        0xbf58476d1ce4e5b9ULL;
-  return key;
-}
-
 void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
   if (!job.is_gpu_job()) return;
-  // Dedupe: the Model Update Engine may be fed cumulative traces
-  // (QssfService::update), and re-observing a job would double-count the
-  // global/user sums and re-decay the name EWMAs.
-  if (!observed_ids_.insert(dedupe_key(job)).second) return;
   const double dur = static_cast<double>(job.duration);
   ++observe_counter_;
 
@@ -195,7 +176,8 @@ double RollingEstimator::estimate(const std::string& user,
 namespace {
 
 constexpr std::uint32_t kRollingTag = serialize::fourcc("ROLL");
-constexpr std::uint32_t kRollingVersion = 1;
+/// Version 2 dropped version 1's trailing observed-id dedupe set.
+constexpr std::uint32_t kRollingVersion = 2;
 constexpr std::uint32_t kQssfTag = serialize::fourcc("QSSF");
 constexpr std::uint32_t kQssfVersion = 1;
 
@@ -265,10 +247,6 @@ void RollingEstimator::save(serialize::Writer& w) const {
       w.u64(e.last_seen);
     }
   }
-
-  std::vector<std::uint64_t> ids(observed_ids_.begin(), observed_ids_.end());
-  std::sort(ids.begin(), ids.end());
-  w.vec_u64(ids);
   w.end_section();
 }
 
@@ -313,10 +291,6 @@ void RollingEstimator::load(serialize::Reader& r) {
     }
     out.users_.emplace(std::move(user), std::move(u));
   }
-
-  const std::vector<std::uint64_t> ids = s.vec_u64();
-  out.observed_ids_.reserve(ids.size());
-  out.observed_ids_.insert(ids.begin(), ids.end());
   s.close("rolling");
   *this = std::move(out);
 }
@@ -338,7 +312,7 @@ double ml_duration(double log_duration) {
 QssfService::QssfService(QssfConfig config)
     : config_(config),
       model_(config.gbdt),
-      name_buckets_(config.name_match_threshold, /*prefix_len=*/6),
+      name_buckets_(config.name_match_threshold, kNamePrefixLen),
       rolling_(config) {
   if (const char* why = qssf_knob_error(config_)) {
     throw std::invalid_argument(std::string("QssfConfig: ") + why);
@@ -380,7 +354,10 @@ void QssfService::observe(const Trace& t, const JobRecord& job) {
 }
 
 void QssfService::fit(const Trace& history) {
-  // Rolling structures (job ids already folded in are skipped).
+  // Both halves start over, so the fit depends on (config, history) alone.
+  name_buckets_ = ml::NameBucketizer(config_.name_match_threshold,
+                                     kNamePrefixLen);
+  rolling_ = RollingEstimator(config_);
   for (const auto& job : history.jobs()) rolling_.observe(history, job);
 
   // GBDT on log-duration.
@@ -393,8 +370,6 @@ void QssfService::fit(const Trace& history) {
   }
   model_.fit(data);
 }
-
-void QssfService::update(const Trace& new_data) { fit(new_data); }
 
 void QssfService::save(serialize::Writer& w) const {
   w.begin_section(kQssfTag);

@@ -17,17 +17,21 @@
 // The scheduler then runs jobs in ascending priority (sim::SchedulerPolicy::
 // kQssf). Lower P = expected-shorter service = runs first.
 //
-// Determinism: fit(), observe(), and the evaluator are pure functions of
-// their inputs and the service's prior state — no wall clock, no unseeded
-// randomness. OnlinePriorityEvaluator's batched mode is bit-identical to its
-// per-job reference at any thread count (test_prediction_parity), and a
-// service restored from save() (docs/FORMATS.md, "QSSF" frame) produces
-// bit-identical priorities and estimates (test_serialize) — including the
-// dedupe keys, so replaying an already-observed trace into a warm-restarted
-// service still cannot double-count.
+// Determinism: fit() is a pure function of (config, history); observe() and
+// the evaluator are pure functions of their inputs and the service's prior
+// state — no wall clock, no unseeded randomness. OnlinePriorityEvaluator's
+// batched mode is bit-identical to its per-job reference at any thread count
+// (test_prediction_parity), and a service restored from save()
+// (docs/FORMATS.md, "QSSF" frame) produces bit-identical priorities and
+// estimates (test_serialize).
+//
+// Each finished job reaches observe() once by construction: fit() walks its
+// history once, and every causal replay (the evaluator, the streaming
+// svc::PredictionServer) pushes each job onto its ReplayQueue once. These
+// are the paper's Model Update Engine hook (§4.1).
 //
 // Thread-safety: QssfService and RollingEstimator are externally
-// synchronized — fit()/update()/observe()/load() mutate and must be
+// synchronized — fit()/observe()/load() mutate and must be
 // exclusive; the const estimate/predict accessors are safe to share across
 // threads between mutations (predict-time name bucketing is memoized behind
 // logical constness, so even const use requires external synchronization if
@@ -41,7 +45,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/exec_mode.h"
@@ -83,10 +86,8 @@ struct QssfConfig {
 /// The rolling half of Algorithm 1: per-user duration history with
 /// Levenshtein name matching, plus cluster-wide fallbacks.
 ///
-/// Every finished job is folded in at most once, keyed by a hash of its
-/// identity content (job_id, submit time, duration, demand, user), so
-/// feeding an overlapping or cumulative trace cannot double-count history —
-/// and traces from a different lineage (ids restart at 0) still observe.
+/// observe() folds in whatever it is given: callers hand it each finished
+/// job once, so a job observed twice counts twice.
 class RollingEstimator {
  public:
   RollingEstimator() = default;
@@ -94,7 +95,7 @@ class RollingEstimator {
   /// lies outside [0, 1] (or is NaN) or max_names_per_user is 0.
   explicit RollingEstimator(const QssfConfig& config);
 
-  /// Absorb one finished GPU job (idempotent per job_id).
+  /// Absorb one finished GPU job (non-GPU jobs are ignored).
   void observe(const trace::Trace& t, const trace::JobRecord& job);
 
   /// Expected duration (seconds) of an incoming job, Algorithm 1 lines 13-18.
@@ -112,11 +113,11 @@ class RollingEstimator {
 
   /// Persist / restore the full rolling state ("ROLL" section,
   /// docs/FORMATS.md): per-user histories (GPU-demand sums, name EWMAs with
-  /// their eviction clocks), the cluster-wide fallbacks, and the observed-id
-  /// dedupe set — so a restored estimator both estimates bit-identically and
-  /// keeps skipping jobs the saved one had already folded in. Throws
+  /// their eviction clocks) and the cluster-wide fallbacks, so a restored
+  /// estimator estimates and evolves bit-identically. Throws
   /// serialize::Error on malformed input, including knobs the config
-  /// constructor would reject (ErrorCode::kCorrupt).
+  /// constructor would reject (ErrorCode::kCorrupt), and on a section
+  /// version other than the current one (ErrorCode::kUnsupportedVersion).
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 
@@ -142,16 +143,11 @@ class RollingEstimator {
   double rolling_decay_ = 0.75;
   std::size_t max_names_per_user_ = 64;
 
-  /// Content-hash identity of a job for the observe dedupe set.
-  [[nodiscard]] static std::uint64_t dedupe_key(
-      const trace::JobRecord& job) noexcept;
-
   std::unordered_map<std::string, UserHistory> users_;
   std::unordered_map<int, std::pair<double, std::int64_t>> global_by_gpus_;
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
-  std::unordered_set<std::uint64_t> observed_ids_;  // content-hash keys
 };
 
 /// A job described by raw strings plus pre-resolved feature ids — the query
@@ -175,14 +171,11 @@ class QssfService {
   /// on a lambda outside [0, 1] (or NaN).
   explicit QssfService(QssfConfig config = {});
 
-  /// Train the GBDT and seed the rolling estimator from a historical trace
-  /// (the paper trains on April-August and evaluates on September).
+  /// Train the GBDT and seed a fresh rolling estimator from a historical
+  /// trace (the paper trains on April-August and evaluates on September).
+  /// Replaces both halves, so a second fit() starts over rather than adding
+  /// to the first.
   void fit(const trace::Trace& history);
-
-  /// Model Update Engine hook: absorb finished jobs into the rolling
-  /// estimator (already-seen job ids are skipped, so cumulative feeds are
-  /// safe) and refresh the GBDT on the given trace.
-  void update(const trace::Trace& new_data);
 
   /// Absorb a single finished job into the rolling estimator (no GBDT refit).
   void observe(const trace::Trace& t, const trace::JobRecord& job);
@@ -240,6 +233,7 @@ class QssfService {
   friend class OnlinePriorityEvaluator;  // replays into rolling_
 
   static constexpr std::size_t kFeatureCount = 9;
+  static constexpr std::size_t kNamePrefixLen = 6;
   void encode(const trace::Trace& t, const trace::JobRecord& job,
               std::vector<double>& out) const;
   /// Same feature layout as encode(), from a JobQuery, never mutating the

@@ -70,19 +70,20 @@ TEST(Pipeline, BusyNodeSeriesConsistentWithBusyGpus) {
   }
 }
 
-TEST(Pipeline, ModelUpdateRetrainsServices) {
+TEST(Pipeline, ModelUpdateRetrainsQssf) {
   auto& p = pipeline();
   core::QssfConfig qcfg;
   qcfg.gbdt.n_trees = 8;
   core::QssfService qssf(qcfg);
-  core::CesService ces(core::CesConfig{},
-                       std::make_unique<forecast::SeasonalNaiveForecaster>(144));
 
-  // Model Update Engine round: both services retrain from fresh data.
+  // Model Update Engine round: the service retrains from the recent month.
+  qssf.fit(p.t.between(from_civil(2020, 7, 1), from_civil(2020, 8, 1)));
   const auto recent = p.t.between(from_civil(2020, 8, 1), from_civil(2020, 9, 1));
-  qssf.update(recent);
-  ces.update(recent);
+  qssf.fit(recent);
   EXPECT_TRUE(qssf.trained());
+  std::int64_t recent_gpu_jobs = 0;
+  for (const auto& j : recent.jobs()) recent_gpu_jobs += j.is_gpu_job();
+  EXPECT_EQ(qssf.rolling().observed_jobs(), recent_gpu_jobs);
 
   // The refreshed QSSF must produce sane priorities for new jobs.
   const auto eval = p.t.between(from_civil(2020, 9, 1), from_civil(2020, 9, 8));

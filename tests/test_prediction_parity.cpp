@@ -405,8 +405,8 @@ TEST(GbdtEngineParity, HistogramRunsMatchOracle) {
 namespace helios::core {
 namespace {
 
-/// The estimator's persisted bytes: every user history, the global
-/// fallbacks and the dedupe set, in canonical order.
+/// The estimator's persisted bytes: every user history and the global
+/// fallbacks, in canonical order.
 std::vector<std::uint8_t> rolling_bytes(const RollingEstimator& rolling) {
   serialize::Writer w;
   rolling.save(w);
@@ -453,14 +453,22 @@ TEST(EvaluatorParity, BatchedMatchesSerialBitwise) {
     const std::vector<std::uint8_t> after = rolling_bytes(batched_svc.rolling());
     EXPECT_EQ(rolling_bytes(serial_svc.rolling()), after)
         << "trained=" << trained;
-    // The first evaluated job finished long before the last submit, so the
-    // replay folded it in; feeding it again must be a no-op.
-    const auto first_gpu = std::find_if(
-        eval.jobs().begin(), eval.jobs().end(),
+    // The replay folded in each evaluated job once: every GPU job that
+    // finished by the last GPU job's submit, on top of the fitted history.
+    std::int64_t expected = 0;
+    if (trained) {
+      for (const auto& j : train.jobs()) expected += j.is_gpu_job();
+    }
+    const auto last_gpu = std::find_if(
+        eval.jobs().rbegin(), eval.jobs().rend(),
         [](const trace::JobRecord& j) { return j.is_gpu_job(); });
-    ASSERT_NE(first_gpu, eval.jobs().end());
-    batched_svc.observe(eval, *first_gpu);
-    EXPECT_EQ(rolling_bytes(batched_svc.rolling()), after);
+    ASSERT_NE(last_gpu, eval.jobs().rend());
+    for (auto it = eval.jobs().begin(); it != last_gpu.base() - 1; ++it) {
+      expected += it->is_gpu_job() &&
+                  it->submit_time + it->duration <= last_gpu->submit_time;
+    }
+    EXPECT_EQ(batched_svc.rolling().observed_jobs(), expected)
+        << "trained=" << trained;
   }
 }
 

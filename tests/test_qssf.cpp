@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/qssf_service.h"
+#include "serialize/binary.h"
 #include "sim/simulator.h"
 #include "stats/correlation.h"
 #include "trace/synthetic.h"
@@ -167,43 +168,32 @@ TEST(QssfService, RejectsWeightsOutsideUnitInterval) {
   }
 }
 
-TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {
-  // The Model Update Engine hook may be fed cumulative traces; re-observing
-  // a job used to double-count the rolling sums and re-decay the name
-  // EWMAs, skewing rolling_estimate.
-  QssfService svc(fast_config());
+TEST(QssfService, RefitStartsOver) {
+  // fit() is a pure function of (config, history): a refit after pricing and
+  // observing other jobs leaves exactly what one fit on a fresh service does.
   const Trace h = make_history();
-  svc.fit(h);
-
-  Trace probe(small_spec());
-  const auto& j = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
-                            "alice_train_bert", JobState::kCompleted);
-  const double before = svc.rolling_estimate(probe, j);
-
-  // Same trace again (fully overlapping): every estimate must be unchanged.
-  svc.update(h);
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
-  svc.observe(h, h.jobs().front());  // single stray re-observe is a no-op too
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
-
-  // A cumulative trace (old + genuinely new jobs) absorbs only the new ones.
-  Trace cumulative = h;
-  for (int i = 0; i < 20; ++i) {
-    cumulative.add(from_civil(2020, 9, 2) + 100 * i, 7000, 2, 12, "dave", "vc0",
-                   "dave_train_vit", JobState::kCompleted);
-  }
-  cumulative.sort_by_submit_time();
-  svc.update(cumulative);
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
-  const auto& nj = probe.add(from_civil(2020, 9, 10), 0, 2, 12, "dave", "vc0",
-                             "dave_train_vit", JobState::kCompleted);
-  EXPECT_NEAR(svc.rolling_estimate(probe, nj), 7000.0, 100.0);
+  QssfService once(fast_config());
+  once.fit(h);
+  QssfService twice(fast_config());
+  twice.fit(h);
+  Trace other(small_spec());
+  const auto& stray = other.add(from_civil(2020, 9, 1), 700, 2, 12, "dave",
+                                "vc0", "dave_train_vit", JobState::kCompleted);
+  EXPECT_GT(twice.priority(other, stray), 0.0);  // buckets the unseen name
+  twice.observe(other, stray);
+  twice.fit(h);
+  serialize::Writer a;
+  once.save(a);
+  serialize::Writer b;
+  twice.save(b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(twice.rolling().observed_jobs(), once.rolling().observed_jobs());
 }
 
 TEST(QssfService, ObservesJobsFromIndependentTraceLineages) {
-  // Independently built traces restart job ids at 0; the observe dedupe is
-  // keyed on job content, so an id collision across lineages must not drop
-  // a genuinely new observation.
+  // Every job handed to observe() counts, whatever its id: independently
+  // built traces restart job ids at 0, and distinct jobs of one trace may
+  // share any summary of their identity.
   QssfService svc(fast_config());
   Trace a(small_spec());
   const auto& ja = a.add(1000, 500, 1, 6, "erin", "vc0", "erin_job_a",
@@ -218,6 +208,27 @@ TEST(QssfService, ObservesJobsFromIndependentTraceLineages) {
                             JobState::kCompleted);
   // Both observations counted: erin's 1-GPU mean is (500 + 3500) / 2.
   EXPECT_NEAR(svc.rolling_estimate(probe, p), 2000.0, 1e-9);
+
+  // Jobs 87677 and 87680 of Earth (seed 42, scale 0.1): same user, demand
+  // and duration, and equal job_id ^ submit_time, so a 64-bit content hash
+  // of them collides. Both count.
+  Trace earth(small_spec());
+  auto& first = earth.add(1597611779, 2, 2, 12, "u7932", "vc0",
+                          "u7932_preprocess_bert_v2", JobState::kCompleted);
+  first.job_id = 87677;
+  svc.observe(earth, first);
+  auto& second = earth.add(1597612030, 2, 2, 12, "u7932", "vc0",
+                           "u7932_preprocess_bert_v3", JobState::kFailed);
+  second.job_id = 87680;
+  svc.observe(earth, second);
+  EXPECT_EQ(svc.rolling().observed_jobs(), 4);
+  // One more 2-GPU job of 8 s: the user's 2-GPU mean is (2 + 2 + 8) / 3.
+  const auto& third = earth.add(1597700000, 8, 2, 12, "u7932", "vc0",
+                                "u7932_eval", JobState::kCompleted);
+  svc.observe(earth, third);
+  const auto& q = probe.add(1597800000, 0, 2, 12, "u7932", "vc0",
+                            "something_else", JobState::kCompleted);
+  EXPECT_NEAR(svc.rolling_estimate(probe, q), 4.0, 1e-12);
 }
 
 TEST(QssfService, PredictionsCorrelateWithActualOnSyntheticTrace) {

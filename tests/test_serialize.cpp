@@ -173,7 +173,7 @@ TEST(SerializeRoundTrip, NameBucketizerKeepsAssignments) {
   }
 }
 
-TEST(SerializeRoundTrip, RollingEstimatorStateAndDedupe) {
+TEST(SerializeRoundTrip, RollingEstimatorState) {
   const trace::Trace t = venus_trace(17);
   core::QssfConfig cfg;
   core::RollingEstimator rolling(cfg);
@@ -190,11 +190,7 @@ TEST(SerializeRoundTrip, RollingEstimatorStateAndDedupe) {
     ASSERT_EQ(rolling.estimate(t, job), loaded.estimate(t, job))
         << "job " << job.job_id;
   }
-  // Dedupe keys survived: re-feeding the very same trace is a no-op.
-  const std::int64_t before = loaded.observed_jobs();
-  for (const auto& job : t.jobs()) loaded.observe(t, job);
-  EXPECT_EQ(loaded.observed_jobs(), before);
-  // And both copies keep evolving identically on genuinely new jobs.
+  // Both copies keep evolving identically on new jobs.
   trace::Trace more = t;
   auto& fresh = more.add(trace::helios_trace_end() + 60, 1234, 4, 16, "new_u",
                          "vc42", "train_llm_v9", trace::JobState::kCompleted);
@@ -690,7 +686,7 @@ const std::vector<RollingKnobs>& unusable_knobs() {
 serialize::Writer rolling_section(const RollingKnobs& knobs) {
   serialize::Writer w;
   w.begin_section(serialize::fourcc("ROLL"));
-  w.u32(1);                 // section version
+  w.u32(2);                 // section version
   w.u8(1);                  // use_names
   w.f64(knobs.threshold);   // name_match_threshold
   w.f64(knobs.decay);       // rolling_decay
@@ -700,7 +696,6 @@ serialize::Writer rolling_section(const RollingKnobs& knobs) {
   w.u64(0);                 // observe_counter
   w.u64(0);                 // global_by_gpus: no entries
   w.u64(0);                 // users: none
-  w.vec_u64({});            // observed ids: none
   w.end_section();
   return w;
 }
@@ -726,6 +721,54 @@ TEST(SerializeMalformed, RollingKnobsRejected) {
       EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
     }
   }
+}
+
+TEST(SerializeMalformed, RollingVersion1Refused) {
+  // Version 1 sections ended in an observed-id dedupe set that version 2
+  // dropped: an old section is refused by its version, not misparsed.
+  const trace::Trace t = venus_trace(17);
+  core::QssfConfig cfg;
+  cfg.gbdt.n_trees = 4;
+  core::QssfService service(cfg);
+  service.fit(t);
+  serialize::Writer rolling_w;
+  service.rolling().save(rolling_w);
+  serialize::Writer service_w;
+  service.save(service_w);
+
+  // The version word follows the section's tag (u32) and length (u64); ROLL
+  // is the last section nested in QSSF, so it is the service bytes' suffix.
+  constexpr std::size_t kVersionAt = 12;
+  auto patch_version = [](std::vector<std::uint8_t> bytes, std::size_t at) {
+    EXPECT_EQ(bytes[at], 2u);
+    bytes[at] = 1;
+    return bytes;
+  };
+  auto expect_unsupported = [](const std::vector<std::uint8_t>& bytes,
+                               auto&& load) {
+    serialize::Reader r(bytes);
+    try {
+      load(r);
+      FAIL() << "expected kUnsupportedVersion";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupportedVersion) << e.what();
+    }
+  };
+  const std::size_t roll_at =
+      service_w.buffer().size() - rolling_w.buffer().size();
+  ASSERT_TRUE(std::equal(rolling_w.buffer().begin(), rolling_w.buffer().end(),
+                         service_w.buffer().begin() +
+                             static_cast<std::ptrdiff_t>(roll_at)));
+  expect_unsupported(patch_version(rolling_w.buffer(), kVersionAt),
+                     [](serialize::Reader& r) {
+                       core::RollingEstimator rolling;
+                       rolling.load(r);
+                     });
+  expect_unsupported(patch_version(service_w.buffer(), roll_at + kVersionAt),
+                     [](serialize::Reader& r) {
+                       core::QssfService svc;
+                       svc.load(r);
+                     });
 }
 
 TEST(SerializeMalformed, QssfKnobsRejected) {
